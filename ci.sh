@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate + panic-discipline lint + fedval-lint static analysis.
 #
-#   ./ci.sh            build, test, clippy, bench --check, sweep
-#                      invariance, serve smoke, sampled-Shapley smoke,
-#                      fedchaos, fedval-lint
+#   ./ci.sh            build, test, clippy, bench --check, sweep and
+#                      trace invariance, serve smoke, sampled-Shapley
+#                      smoke, fedchaos, benchmark gate smoke, fedval-lint
 #
 # The clippy stage enforces the no-panic rule on every crate's non-test
 # lib code: unwrap()/expect() are denied workspace-wide (tests are exempt —
@@ -64,6 +64,32 @@ if ! diff -r "$sweep_tmp/t1" "$sweep_tmp/t4"; then
     echo "broken: results must merge in input order, independent of scheduling."
     exit 1
 fi
+
+echo "== trace thread-invariance (fedval report --trace at --threads 1 vs 4)"
+# Outputs are diffed above; traces must not depend on the thread count
+# either. Each run's multiset of span names (durations and ids vary) must
+# match: exact Shapley opens one span name at any thread count.
+trace_tmp=$(mktemp -d)
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}"' EXIT
+span_names() {
+    sed -n 's/.*"type":"span_start"[^}]*"name":"\([^"]*\)".*/\1/p' "$1" | sort
+}
+for args in "" "--synthetic 200"; do
+    for t in 1 4; do
+        # shellcheck disable=SC2086
+        ./target/release/fedval report $args --threads "$t" \
+            --trace "$trace_tmp/t$t.jsonl" > /dev/null
+        span_names "$trace_tmp/t$t.jsonl" > "$trace_tmp/names$t.txt"
+    done
+    if [ ! -s "$trace_tmp/names1.txt" ] \
+       || ! diff "$trace_tmp/names1.txt" "$trace_tmp/names4.txt"; then
+        echo ""
+        echo "ci.sh: fedval report ${args:-(worked example)} traces different span"
+        echo "names at --threads 1 and --threads 4 (or none at all). A span name"
+        echo "that depends on the thread count makes traces depend on the host."
+        exit 1
+    fi
+done
 
 echo "== fedval-serve smoke (loopback daemon + deterministic fedload)"
 smoke_tmp=$(mktemp -d)
@@ -131,7 +157,7 @@ echo "== sampled Shapley (n<=16 validation + deterministic n=200 serve smoke)"
 # games small enough to enumerate (DESIGN.md §14).
 cargo test -q -p fedval-coalition --release approx > /dev/null
 approx_tmp=$(mktemp -d)
-trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}" "${approx_tmp:-}"' EXIT
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}"' EXIT
 # A 200-authority synthetic federation is far past every exact cap; the
 # daemon must answer shapley queries via the sampled path, and fedload's
 # canonical-bytes check proves every response in the run is
@@ -183,7 +209,7 @@ echo "== fedform formation smoke (n=200 churn, fingerprint invariance)"
 # runs AND across thread counts (DESIGN.md §15). A diff here means the
 # engine leaked scheduling order into a committed surface.
 form_tmp=$(mktemp -d)
-trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}"' EXIT
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}"' EXIT
 ./target/release/fedform --synthetic 200:7 --rounds 12 --approx-samples 8 \
     --threads 4 > "$form_tmp/t4_run1.txt"
 ./target/release/fedform --synthetic 200:7 --rounds 12 --approx-samples 8 \
@@ -213,7 +239,7 @@ fi
 
 echo "== fedchaos smoke (seeded chaos campaign vs hardened daemon)"
 chaos_tmp=$(mktemp -d)
-trap 'rm -rf "$sweep_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${chaos_tmp:-}"' EXIT
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${chaos_tmp:-}"' EXIT
 ./target/release/fedval-serve --addr 127.0.0.1:0 --warm --chaos-harness \
     --max-connections 24 --io-timeout-ms 500 --frame-deadline-ms 1000 \
     --idle-timeout-ms 5000 > "$chaos_tmp/serve.log" 2>&1 &
@@ -295,6 +321,24 @@ if ! grep -q "worker_restarts=" "$chaos_tmp/serve.log"; then
     cat "$chaos_tmp/serve.log"
     exit 1
 fi
+
+echo "== benchmark gate smoke (perfbench tests + one synthetic-n200 run)"
+# The benchmark is its own Cargo workspace under perfbench/. Its tests,
+# and one short synthetic-n200 run whose last stdout line is the JSON
+# verdict, catch a change that breaks its build or its correctness gate
+# (fingerprints, invariants) before the full benchmark runs.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload synthetic-n200 --seconds 1 --trace 0 | tail -n 1)
+case "$bench_verdict" in
+    *'"correct": true'*) ;;
+    *)
+        echo ""
+        echo "ci.sh: perfbench synthetic-n200 did not report \"correct\": true:"
+        echo "$bench_verdict"
+        exit 1
+        ;;
+esac
 
 echo "== fedval-lint (workspace static analysis vs lint-baseline.toml)"
 if ! cargo run -q -p fedval-lint --release; then

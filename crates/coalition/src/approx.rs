@@ -84,6 +84,24 @@ pub trait WideGame: Sync {
     /// Value `V(S)` of the coalition whose members are `members`
     /// (strictly increasing, no duplicates).
     fn value_members(&self, members: &[PlayerId]) -> f64;
+
+    /// Values of every prefix of `order` (distinct player ids, any
+    /// order): on return `out[k] = V({order[0], …, order[k]})`, and
+    /// `out.len() == order.len()`. The default inserts each player into a
+    /// sorted member list and calls [`WideGame::value_members`]; games
+    /// with an incremental evaluator override it and must return the
+    /// same bits.
+    fn prefix_values(&self, order: &[PlayerId], out: &mut Vec<f64>) {
+        out.clear();
+        let mut members: Vec<PlayerId> = Vec::with_capacity(order.len());
+        for &p in order {
+            let pos = match members.binary_search(&p) {
+                Ok(pos) | Err(pos) => pos,
+            };
+            members.insert(pos, p);
+            out.push(self.value_members(&members));
+        }
+    }
 }
 
 /// Adapter giving any [`CoalitionalGame`] (including
@@ -409,18 +427,13 @@ fn permutation_block<G: WideGame + ?Sized>(
 ) {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, block as u64));
     let mut order: Vec<PlayerId> = (0..n).collect();
-    let mut members: Vec<PlayerId> = Vec::with_capacity(n);
+    let mut values: Vec<f64> = Vec::with_capacity(n);
     let v_empty = game.value_members(&[]);
     for _ in 0..count {
         order.shuffle(&mut rng);
-        members.clear();
+        game.prefix_values(&order, &mut values);
         let mut prev = v_empty;
-        for &p in &order {
-            let pos = match members.binary_search(&p) {
-                Ok(pos) | Err(pos) => pos,
-            };
-            members.insert(pos, p);
-            let cur = game.value_members(&members);
+        for (&p, &cur) in order.iter().zip(&values) {
             let delta = cur - prev;
             sum[p] += delta;
             sum_sq[p] += delta * delta;

@@ -226,6 +226,11 @@ impl<G: CoalitionalGame> CachedGame<G> {
             .count()
     }
 
+    /// The inner game, for evaluations that bypass the memo.
+    pub fn inner(&self) -> &G {
+        &self.inner
+    }
+
     /// Consumes the wrapper, returning the inner game.
     pub fn into_inner(self) -> G {
         self.inner

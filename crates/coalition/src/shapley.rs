@@ -76,7 +76,9 @@ pub fn shapley<G: CoalitionalGame>(game: &G) -> Vec<f64> {
 pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64> {
     let n = game.n_players();
     let threads = threads.clamp(1, n.max(1));
-    let _span = fedval_obs::span_with("coalition.shapley.parallel", || {
+    // One span name for exact Shapley at any thread count, so a trace
+    // does not depend on the host's core count.
+    let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={n} threads={threads}")
     });
     let mut phi = vec![0.0; n];

@@ -79,12 +79,137 @@ impl Facility {
 }
 
 /// Builds the joint capacity profile of a set of facilities, summing
-/// capacity at overlapping locations.
+/// capacity at overlapping locations. This per-location merge is the
+/// reference that [`ProfileIndex`]'s histogram sums are tested against.
 pub fn coalition_profile<'a, I: IntoIterator<Item = &'a Facility>>(
     facilities: I,
 ) -> CapacityProfile {
     let merged = LocationOffer::merge(facilities.into_iter().map(|f| &f.offer));
     CapacityProfile::from_offer(&merged)
+}
+
+/// Each facility's `(capacity → #locations)` histogram on one shared
+/// capacity axis, plus whether the facilities' offers are pairwise
+/// disjoint.
+///
+/// When no location is offered by two facilities, merging offers never
+/// adds capacities, so a coalition's [`CapacityProfile`] is exactly the
+/// sum of its members' histograms: O(#groups) per member instead of a
+/// per-location merge. Overlapping offers fall back to merging locations
+/// (DESIGN.md §14.1).
+#[derive(Debug, Clone)]
+pub struct ProfileIndex {
+    /// Every capacity any facility offers, strictly ascending.
+    capacities: Vec<u64>,
+    /// Per facility: `(position in capacities, #locations)` pairs.
+    histograms: Vec<Vec<(usize, u64)>>,
+    disjoint: bool,
+}
+
+impl ProfileIndex {
+    /// Indexes `facilities` in O(L log L) for L offered locations in all.
+    pub fn new(facilities: &[Facility]) -> ProfileIndex {
+        // Each offer as maximal runs of consecutive location ids; the
+        // offers are disjoint iff no two runs intersect, which after a
+        // sort by start shows up between neighbours.
+        let mut runs: Vec<(LocationId, LocationId)> = Vec::new();
+        for f in facilities {
+            let mut run: Option<(LocationId, LocationId)> = None;
+            for (l, _) in f.offer.iter() {
+                run = match run {
+                    Some((start, end)) if end.checked_add(1) == Some(l) => Some((start, l)),
+                    other => {
+                        runs.extend(other);
+                        Some((l, l))
+                    }
+                };
+            }
+            runs.extend(run);
+        }
+        runs.sort_unstable();
+        let disjoint = runs.windows(2).all(|w| w[0].1 < w[1].0);
+
+        let profiles: Vec<CapacityProfile> = facilities.iter().map(Facility::profile).collect();
+        let mut capacities: Vec<u64> = profiles
+            .iter()
+            .flat_map(|p| p.groups().iter().map(|&(c, _)| c))
+            .collect();
+        capacities.sort_unstable();
+        capacities.dedup();
+        let histograms = profiles
+            .iter()
+            .map(|p| {
+                p.groups()
+                    .iter()
+                    .map(|&(c, n)| match capacities.binary_search(&c) {
+                        Ok(slot) | Err(slot) => (slot, n),
+                    })
+                    .collect()
+            })
+            .collect();
+        ProfileIndex {
+            capacities,
+            histograms,
+            disjoint,
+        }
+    }
+
+    /// True when no location is offered by two facilities, so coalition
+    /// profiles are histogram sums.
+    pub fn is_disjoint(&self) -> bool {
+        self.disjoint
+    }
+}
+
+/// A coalition's capacity profile, built one member at a time: a running
+/// histogram sum when the [`ProfileIndex`] is disjoint, a running
+/// location merge (as in [`coalition_profile`]) when offers overlap.
+/// Either way [`ProfileBuilder::profile`] equals [`coalition_profile`] of
+/// the members added so far.
+pub(crate) struct ProfileBuilder<'a> {
+    facilities: &'a [Facility],
+    index: &'a ProfileIndex,
+    counts: Vec<u64>,
+    merged: LocationOffer,
+}
+
+impl<'a> ProfileBuilder<'a> {
+    /// The empty coalition; `index` must be `ProfileIndex::new(facilities)`.
+    pub(crate) fn new(facilities: &'a [Facility], index: &'a ProfileIndex) -> ProfileBuilder<'a> {
+        let slots = if index.disjoint {
+            index.capacities.len()
+        } else {
+            0
+        };
+        ProfileBuilder {
+            facilities,
+            index,
+            counts: vec![0; slots],
+            merged: LocationOffer::new(),
+        }
+    }
+
+    /// Adds facility `member` (not already added).
+    pub(crate) fn add(&mut self, member: usize) {
+        if self.index.disjoint {
+            for &(slot, n) in &self.index.histograms[member] {
+                self.counts[slot] += n;
+            }
+        } else {
+            for (l, r) in self.facilities[member].offer.iter() {
+                self.merged.add(l, r);
+            }
+        }
+    }
+
+    /// The profile of the members added so far.
+    pub(crate) fn profile(&self) -> CapacityProfile {
+        if self.index.disjoint {
+            CapacityProfile::from_histogram(&self.index.capacities, &self.counts)
+        } else {
+            CapacityProfile::from_offer(&self.merged)
+        }
+    }
 }
 
 /// The three-facility configuration used throughout the paper's numerical
@@ -151,6 +276,47 @@ mod tests {
         assert_eq!(p.n_locations(), 15);
         assert_eq!(p.total_slots(), 20 + 30);
         assert_eq!(p.max_capacity(), 5);
+    }
+
+    #[test]
+    fn disjointness_is_detected() {
+        assert!(ProfileIndex::new(&paper_facilities([1, 1, 1])).is_disjoint());
+        assert!(ProfileIndex::new(&paper_facilities([80, 20, 10])).is_disjoint());
+        // Adjacent ranges touch but do not overlap.
+        let adjacent = [
+            Facility::uniform("a", 0, 5, 1),
+            Facility::uniform("b", 5, 5, 2),
+        ];
+        assert!(ProfileIndex::new(&adjacent).is_disjoint());
+        assert!(ProfileIndex::new(&crate::overlap::block_overlap(&[5, 5], 0, 1)).is_disjoint());
+        // A shared block, a one-location overlap, and sampled coverage.
+        assert!(!ProfileIndex::new(&crate::overlap::block_overlap(&[5, 10], 3, 2)).is_disjoint());
+        let touching = [
+            Facility::uniform("a", 0, 5, 1),
+            Facility::uniform("b", 4, 5, 2),
+        ];
+        assert!(!ProfileIndex::new(&touching).is_disjoint());
+        let sampled = crate::overlap::IndependentCoverage::new(200, vec![(0.3, 1), (0.5, 2)]);
+        assert!(!ProfileIndex::new(&sampled.sample(7)).is_disjoint());
+    }
+
+    #[test]
+    fn builder_sums_equal_the_merge() {
+        let fs = paper_facilities([80, 20, 10]);
+        let index = ProfileIndex::new(&fs);
+        let mut builder = ProfileBuilder::new(&fs, &index);
+        assert_eq!(builder.profile(), CapacityProfile::empty());
+        for (k, p) in [2, 0, 1].into_iter().enumerate() {
+            builder.add(p);
+            let members: Vec<&Facility> = [2, 0, 1][..=k].iter().map(|&q| &fs[q]).collect();
+            assert_eq!(builder.profile(), coalition_profile(members));
+        }
+        let overlapping = crate::overlap::block_overlap(&[5, 10], 3, 2);
+        let index = ProfileIndex::new(&overlapping);
+        let mut builder = ProfileBuilder::new(&overlapping, &index);
+        builder.add(1);
+        builder.add(0);
+        assert_eq!(builder.profile(), coalition_profile(&overlapping));
     }
 
     #[test]

@@ -125,6 +125,27 @@ impl CapacityProfile {
         }
     }
 
+    /// Builds from a histogram on a shared capacity axis: `counts[k]`
+    /// locations at capacity `capacities[k]`. `capacities` must be
+    /// strictly ascending and positive; zero counts are skipped. Equals
+    /// [`CapacityProfile::from_groups`] on the same pairs, without its
+    /// re-sort.
+    pub(crate) fn from_histogram(capacities: &[u64], counts: &[u64]) -> CapacityProfile {
+        let groups: Vec<(u64, u64)> = capacities
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(&c, &n)| (c, n))
+            .collect();
+        let n_locations = groups.iter().map(|&(_, n)| n).sum();
+        let total_slots = groups.iter().map(|&(c, n)| c * n).sum();
+        CapacityProfile {
+            groups,
+            n_locations,
+            total_slots,
+        }
+    }
+
     /// The empty profile (coalition with no resources).
     pub fn empty() -> CapacityProfile {
         CapacityProfile::from_groups(Vec::new())

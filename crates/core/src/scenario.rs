@@ -44,8 +44,7 @@ impl std::error::Error for PlayerCountMismatch {}
 /// parallelizes *within* one scenario's Shapley computation — useful for
 /// larger player counts where the `O(2^n)` pass dominates.
 pub struct FederationScenario {
-    facilities: Vec<Facility>,
-    demand: Demand,
+    game: FederationGame<'static>,
     cost: CostModel,
     threads: usize,
     approx: ApproxConfig,
@@ -56,8 +55,7 @@ impl FederationScenario {
     /// Creates a scenario with the default cost model.
     pub fn new(facilities: Vec<Facility>, demand: Demand) -> FederationScenario {
         FederationScenario {
-            facilities,
-            demand,
+            game: FederationGame::owned(facilities, demand),
             cost: CostModel::paper_default(),
             threads: 1,
             approx: ApproxConfig::default(),
@@ -137,8 +135,7 @@ impl FederationScenario {
         let table = std::cell::OnceCell::new();
         let _ = table.set(game);
         Ok(FederationScenario {
-            facilities,
-            demand,
+            game: FederationGame::owned(facilities, demand),
             cost: CostModel::paper_default(),
             threads: 1,
             approx: ApproxConfig::default(),
@@ -148,12 +145,19 @@ impl FederationScenario {
 
     /// The facilities, in player order.
     pub fn facilities(&self) -> &[Facility] {
-        &self.facilities
+        self.game.facilities()
     }
 
     /// The demand profile.
     pub fn demand(&self) -> &Demand {
-        &self.demand
+        self.game.demand()
+    }
+
+    /// The closed-form federation game (owned, with its lazily built
+    /// profile index). Measured scenarios answer share queries from
+    /// their table instead.
+    pub fn federation_game(&self) -> &FederationGame<'static> {
+        &self.game
     }
 
     /// `V(S)` for an arbitrary member subset (ascending player ids), at
@@ -163,7 +167,7 @@ impl FederationScenario {
     /// candidate coalitions through: no `2^n` table is materialized.
     pub fn value_of_members(&self, members: &[usize]) -> f64 {
         use fedval_coalition::WideGame as _;
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
+        self.game.value_members(members)
     }
 
     /// The cost model.
@@ -200,9 +204,9 @@ impl FederationScenario {
         }
         let built = {
             let _span = fedval_obs::span_with("core.scenario.table_build", || {
-                format!("n={}", self.facilities.len())
+                format!("n={}", self.facilities().len())
             });
-            FederationGame::new(&self.facilities, &self.demand).try_table()?
+            self.game.try_table()?
         };
         Ok(self.table.get_or_init(|| built))
     }
@@ -257,12 +261,11 @@ impl FederationScenario {
             // closed-form model does not reproduce measured values.
             return shapley_auto(table, &cfg);
         }
-        let n = self.facilities.len();
+        let n = self.facilities().len();
         if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
             return shapley_auto(self.try_game()?, &cfg);
         }
-        let game = FederationGame::new(&self.facilities, &self.demand);
-        shapley_auto_wide(&game, &cfg)
+        shapley_auto_wide(&self.game, &cfg)
     }
 
     /// Normalized shares from [`shapley_estimate`]
@@ -286,19 +289,19 @@ impl FederationScenario {
 
     /// Proportional (contribution-based) shares π̂ (eq. 6).
     pub fn proportional_shares(&self) -> Vec<f64> {
-        sharing::proportional_shares(&self.facilities)
+        sharing::proportional_shares(self.facilities())
     }
 
     /// Consumption-based shares ρ̂ (eq. 7).
     pub fn consumption_shares(&self) -> Vec<f64> {
-        sharing::consumption_shares(&self.facilities, &self.demand)
+        sharing::consumption_shares(self.facilities(), self.demand())
     }
 
     /// Nucleolus shares (allocation / V(N)).
     pub fn nucleolus_shares(&self) -> Vec<f64> {
         let grand = self.grand_value();
         if grand.abs() < 1e-12 {
-            return vec![0.0; self.facilities.len()];
+            return vec![0.0; self.facilities().len()];
         }
         nucleolus(self.game())
             .into_iter()

@@ -21,7 +21,7 @@ use crate::partition::{fnv1a, Partition};
 use fedval_coalition::{
     derive_seed, shapley_auto_wide, ApproxConfig, GameError, PlayerId, WideGame,
 };
-use fedval_core::{Demand, Facility, FederationGame, FederationScenario};
+use fedval_core::{Facility, FederationGame, FederationScenario};
 use fedval_desim::{SimRng, Simulator};
 use std::collections::BTreeSet;
 
@@ -32,22 +32,16 @@ const STABILITY_STREAM: u64 = 0x0057_AB1E;
 /// FNV-1a offset basis (64-bit), re-stated for trajectory folding.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// An owned federation characteristic function — the glue between
-/// [`FederationScenario`] / the synthetic generator and the engine's
-/// [`WideGame`] interface (the borrowed [`FederationGame`] cannot
-/// outlive its scenario; formation runs want an owned game).
-pub struct FormationGame {
-    facilities: Vec<Facility>,
-    demand: Demand,
-}
+/// The owned federation game a formation run prices coalitions with:
+/// [`FederationGame`] over the scenario's or the synthetic generator's
+/// facilities and demand, so its profile index is built once per run.
+pub struct FormationGame(FederationGame<'static>);
 
 impl FormationGame {
-    /// Clones a scenario's facilities and demand into an owned game.
+    /// Clones a scenario's federation game: its facilities, its demand
+    /// and any profile index it has already built.
     pub fn from_scenario(scenario: &FederationScenario) -> FormationGame {
-        FormationGame {
-            facilities: scenario.facilities().to_vec(),
-            demand: scenario.demand().clone(),
-        }
+        FormationGame(scenario.federation_game().clone())
     }
 
     /// The seeded synthetic federation (shared `(n, seed)` generator —
@@ -57,21 +51,24 @@ impl FormationGame {
     /// Panics if `n == 0` (propagated from the generator).
     pub fn synthetic(n: usize, seed: u64) -> FormationGame {
         let (facilities, demand) = fedval_testbed::synthetic_federation(n, seed);
-        FormationGame { facilities, demand }
+        FormationGame(FederationGame::owned(facilities, demand))
     }
 
     /// The facilities, in player-id order.
     pub fn facilities(&self) -> &[Facility] {
-        &self.facilities
+        self.0.facilities()
     }
 }
 
 impl WideGame for FormationGame {
     fn n_players(&self) -> usize {
-        self.facilities.len()
+        WideGame::n_players(&self.0)
     }
     fn value_members(&self, members: &[PlayerId]) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
+        self.0.value_members(members)
+    }
+    fn prefix_values(&self, order: &[PlayerId], out: &mut Vec<f64>) {
+        self.0.prefix_values(order, out);
     }
 }
 
@@ -91,6 +88,10 @@ impl<G: WideGame + ?Sized> WideGame for RestrictedGame<'_, G> {
         // `members` is ascending and `self.members` is sorted, so the
         // mapped list is ascending too — the WideGame contract holds.
         self.game.value_members(&mapped)
+    }
+    fn prefix_values(&self, order: &[PlayerId], out: &mut Vec<f64>) {
+        let mapped: Vec<PlayerId> = order.iter().map(|&i| self.members[i]).collect();
+        self.game.prefix_values(&mapped, out);
     }
 }
 

@@ -7,8 +7,8 @@
 //! scenario hundreds of times per second — "what is coalition {1,2}
 //! worth?", "what is provider 3's Shapley share?", "what happens if a
 //! fourth provider joins?". This crate keeps one
-//! [`FederationScenario`-derived game][crate::state::ScenarioGame]
-//! resident behind the single-flight
+//! owned [`FederationGame`](fedval_core::FederationGame) resident
+//! behind the single-flight
 //! [`CachedGame`](fedval_coalition::CachedGame), pre-warms every
 //! coalition value plus the ϕ̂ and nucleolus share tables at startup,
 //! and answers queries over a newline-framed JSON-ish TCP protocol —

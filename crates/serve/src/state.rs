@@ -92,6 +92,11 @@ impl ScenarioSpec {
         }
     }
 
+    /// The owned federation game over this spec's facilities and demand.
+    pub fn game(&self) -> FederationGame<'static> {
+        FederationGame::owned(self.facilities(), self.demand())
+    }
+
     /// The spec with one facility appended (what-if-join).
     ///
     /// Joins past the exact-enumeration caps are fine — the solve falls
@@ -141,46 +146,6 @@ impl ScenarioSpec {
     }
 }
 
-/// An owned [`CoalitionalGame`] over a spec's facilities and demand —
-/// the borrow-free form [`CachedGame`] needs to live inside shared
-/// server state.
-pub struct ScenarioGame {
-    facilities: Vec<Facility>,
-    demand: Demand,
-}
-
-impl ScenarioGame {
-    /// Builds the owned game for a spec.
-    pub fn new(spec: &ScenarioSpec) -> ScenarioGame {
-        ScenarioGame {
-            facilities: spec.facilities(),
-            demand: spec.demand(),
-        }
-    }
-}
-
-impl CoalitionalGame for ScenarioGame {
-    fn n_players(&self) -> usize {
-        self.facilities.len()
-    }
-
-    fn value(&self, coalition: Coalition) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value(coalition)
-    }
-}
-
-impl WideGame for ScenarioGame {
-    fn n_players(&self) -> usize {
-        self.facilities.len()
-    }
-
-    /// `V(S)` over member slices — what the sampled Shapley estimator
-    /// and the wide `coalition-value` path consume past 64 players.
-    fn value_members(&self, members: &[usize]) -> f64 {
-        FederationGame::new(&self.facilities, &self.demand).value_members(members)
-    }
-}
-
 /// Outcome of warming the state (reported by the daemon at startup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmReport {
@@ -195,7 +160,7 @@ pub struct WarmReport {
 /// Shared, thread-safe query state. One instance serves every worker.
 pub struct ServeState {
     spec: ScenarioSpec,
-    cached: CachedGame<ScenarioGame>,
+    cached: CachedGame<FederationGame<'static>>,
     /// Sampled-Shapley parameters: budget, seed, confidence, method,
     /// threads, and the `--approx` force flag. Per-seed deterministic,
     /// so the pre-rendered payloads stay byte-identical.
@@ -219,7 +184,7 @@ impl ServeState {
     /// Creates cold state for a spec; `whatif_capacity` bounds the
     /// derived-scenario LRU.
     pub fn new(spec: ScenarioSpec, whatif_capacity: usize) -> ServeState {
-        let cached = CachedGame::new(ScenarioGame::new(&spec));
+        let cached = CachedGame::new(spec.game());
         ServeState {
             spec,
             cached,
@@ -350,7 +315,7 @@ impl ServeState {
             members.sort_unstable();
             members.dedup();
             fedval_obs::counter_add("serve.coalition.wide_evals", 1);
-            let value = ScenarioGame::new(&self.spec).value_members(&members);
+            let value = self.cached.inner().value_members(&members);
             let members: Vec<String> = members.iter().map(|p| p.to_string()).collect();
             return Ok(format!(
                 "\"kind\":\"coalition-value\",\"coalition\":[{}],\"value\":{}",
@@ -422,8 +387,7 @@ impl ServeState {
         let table = if spec == &self.spec {
             self.base_table()?
         } else {
-            let game = ScenarioGame::new(spec);
-            TableGame::try_from_game(&game)
+            TableGame::try_from_game(&spec.game())
                 .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?
         };
         render_shares_payload(kind, &table, which)
@@ -433,8 +397,7 @@ impl ServeState {
     /// the approx payload (shares + CI + budget + seed). Byte-identical
     /// per `(spec, approx config)` at any thread count.
     fn sampled_shares(&self, kind: &str, spec: &ScenarioSpec) -> Result<String, QueryError> {
-        let game = ScenarioGame::new(spec);
-        let approx = try_approx_shapley_wide(&game, &self.approx)
+        let approx = try_approx_shapley_wide(&spec.game(), &self.approx)
             .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?;
         Ok(render_approx_payload(kind, spec.n(), &approx))
     }

@@ -135,4 +135,11 @@ mod tests {
         assert_eq!(game.value_members(&[0, 1]), 0.0);
         assert_eq!(game.value_members(&[]), 0.0);
     }
+
+    #[test]
+    fn synthetic_offers_are_disjoint() {
+        // V(S) on every synthetic federation takes the histogram-sum path.
+        let (facilities, _) = synthetic_federation(200, 42);
+        assert!(fedval_core::ProfileIndex::new(&facilities).is_disjoint());
+    }
 }

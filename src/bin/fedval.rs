@@ -16,8 +16,8 @@ use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::{
     ApproxConfig, ApproxMethod, Coalition, CoalitionalGame, Demand, ExperimentClass, Facility,
-    FederationGame, FederationScenario, ShapleyEstimate, SharingScheme, Volume, WideGame,
-    EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
+    FederationScenario, ShapleyEstimate, SharingScheme, Volume, EXACT_SHAPLEY_MAX_PLAYERS,
+    MAX_SAMPLED_PLAYERS,
 };
 use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
 use std::process::ExitCode;
@@ -393,10 +393,8 @@ fn execute(opts: &Options) -> Result<(), String> {
                     // Enumeration-free schemes at large n: V(N) comes from
                     // one wide-game evaluation instead of the 2^n table.
                     let shares = scheme.shares(&scenario);
-                    let game =
-                        FederationGame::new(scenario.facilities(), scenario.demand());
                     let all: Vec<usize> = (0..n).collect();
-                    let grand = WideGame::value_members(&game, &all);
+                    let grand = scenario.value_of_members(&all);
                     println!("scheme: {} — V(N) = {grand:.2}", scheme.name());
                     println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
                     for (i, s) in shares.iter().enumerate() {
