@@ -322,23 +322,27 @@ if ! grep -q "worker_restarts=" "$chaos_tmp/serve.log"; then
     exit 1
 fi
 
-echo "== benchmark gate smoke (perfbench tests + one synthetic-n200 run)"
+echo "== benchmark gate smoke (perfbench tests + synthetic-n200 and stability-n7 runs)"
 # The benchmark is its own Cargo workspace under perfbench/. Its tests,
-# and one short synthetic-n200 run whose last stdout line is the JSON
+# and one short run per workload below whose last stdout line is the JSON
 # verdict, catch a change that breaks its build or its correctness gate
-# (fingerprints, invariants) before the full benchmark runs.
+# (fingerprints, invariants) before the full benchmark runs. The
+# stability-n7 verdict, with bench_pipeline --check, is what pins the
+# nucleolus share bits.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload synthetic-n200 --seconds 1 --trace 0 | tail -n 1)
-case "$bench_verdict" in
-    *'"correct": true'*) ;;
-    *)
-        echo ""
-        echo "ci.sh: perfbench synthetic-n200 did not report \"correct\": true:"
-        echo "$bench_verdict"
-        exit 1
-        ;;
-esac
+for workload in synthetic-n200 stability-n7; do
+    bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    case "$bench_verdict" in
+        *'"correct": true'*) ;;
+        *)
+            echo ""
+            echo "ci.sh: perfbench $workload did not report \"correct\": true:"
+            echo "$bench_verdict"
+            exit 1
+            ;;
+    esac
+done
 
 echo "== fedval-lint (workspace static analysis vs lint-baseline.toml)"
 if ! cargo run -q -p fedval-lint --release; then

@@ -12,11 +12,27 @@
 //! # Algorithm
 //!
 //! Kopelowitz's successive LPs: minimize the maximal excess ε; among the
-//! optima, freeze the coalitions whose excess is ε in *every* optimum
-//! (detected with one auxiliary LP per candidate coalition); recurse on the
-//! remaining coalitions until the allocation is pinned down (the frozen
-//! equality system reaches rank `n`). Each LP has `O(2^n)` rows, so this is
-//! practical for the `n ≤ ~10` federations the paper targets.
+//! optima, freeze the coalitions whose excess is ε in *every* optimum;
+//! recurse on the remaining coalitions until the allocation is pinned down
+//! (the frozen equality system reaches rank `n`). Each LP has `O(2^n)`
+//! rows, so this is practical for the `n ≤ ~10` federations the paper
+//! targets.
+//!
+//! The freeze test asks whether `max x(S)` over the stage's optimal face
+//! reaches `V(S) − ε`. Most coalitions are settled without an LP, by two
+//! facts about the stage optimum `x`, which lies on that face:
+//!
+//! - **Slack screen.** `max x(S) ≥ x(S)`, so a coalition with slack at `x`
+//!   stays active.
+//! - **Span certificate.** If `χ_S` is a linear combination of `χ_N` and
+//!   the frozen coalitions' incidence vectors, `x(S)` is the same at every
+//!   point of the face, so a coalition tight at `x` is frozen.
+//!
+//! Only a coalition that is tight at `x` but outside that span gets the
+//! auxiliary LP. Each LP that freezes grows the span's rank, so a whole run
+//! needs at most `n − 1` such LPs, plus one per coalition that is tight at
+//! `x` yet not frozen. The decisions, and their order, are the ones the
+//! one-LP-per-coalition test makes, so every stage LP is the same.
 
 use crate::coalition::Coalition;
 use crate::error::GameError;
@@ -25,6 +41,10 @@ use fedval_simplex::{LinearProgram, Objective, Relation, Status};
 
 /// Numerical tolerance for tightness decisions between LP stages.
 const TOL: f64 = 1e-7;
+
+/// An elimination residual this small counts as zero: the incidence
+/// vector lies in the span.
+const SPAN_TOL: f64 = 1e-9;
 
 /// Largest player count the nucleolus LP cascade enumerates: each of up to
 /// `n` stages solves an LP over the `2^n − 2` proper coalitions, so the cap
@@ -79,8 +99,11 @@ pub fn try_nucleolus<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError
         .filter(|&s| !s.is_empty() && s != grand)
         .collect();
 
-    // Frozen coalitions and the excess level they were frozen at.
+    // Frozen coalitions and the excess level they were frozen at, and the
+    // span of their incidence vectors together with χ_N.
     let mut frozen: Vec<(Coalition, f64)> = Vec::new();
+    let mut span = SpanBasis::new(n);
+    span.insert(grand);
     let mut active: Vec<Coalition> = proper.clone();
 
     loop {
@@ -92,8 +115,19 @@ pub fn try_nucleolus<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError
         let mut still_active = Vec::new();
         let mut newly_frozen = 0usize;
         for &s in &active {
-            let max_xs = maximize_coalition_payoff(game, n, &frozen, &active, eps, s)?;
-            if max_xs <= game.value(s) - eps + TOL {
+            let bound = game.value(s) - eps + TOL;
+            let xs: f64 = s.players().map(|p| x[p]).sum();
+            let freeze = if xs > bound {
+                // Slack at x, so max x(S) ≥ x(S) is too: stays active.
+                false
+            } else if span.contains(s) {
+                // x(S) is fixed on the face, and tight at x.
+                true
+            } else {
+                maximize_coalition_payoff(game, n, &frozen, &active, eps, s)? <= bound
+            };
+            if freeze {
+                span.insert(s);
                 frozen.push((s, eps));
                 newly_frozen += 1;
             } else {
@@ -109,7 +143,7 @@ pub fn try_nucleolus<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError
         }
         active = still_active;
 
-        if active.is_empty() || equality_rank(n, &frozen) >= n {
+        if active.is_empty() || span.rank() >= n {
             // x from the last stage is the nucleolus (unique at this point).
             return Ok(x);
         }
@@ -212,40 +246,59 @@ fn maximize_coalition_payoff<G: CoalitionalGame>(
     Ok(s.players().map(|p| x[p]).sum())
 }
 
-/// Rank of the incidence vectors of the frozen coalitions plus the grand
-/// coalition (Gaussian elimination over ℝ).
-fn equality_rank(n: usize, frozen: &[(Coalition, f64)]) -> usize {
-    let mut rows: Vec<Vec<f64>> = frozen
-        .iter()
-        .map(|&(s, _)| (0..n).map(|p| s.contains(p) as u64 as f64).collect())
-        .collect();
-    rows.push(vec![1.0; n]); // efficiency row
+/// Incidence vectors of coalitions in row-echelon form, grown one row at a
+/// time: the span of χ_N and the frozen coalitions, and its rank.
+struct SpanBasis {
+    n: usize,
+    /// `(pivot column, row)`: the row is 1 at its pivot column and 0 at
+    /// every earlier row's pivot column.
+    rows: Vec<(usize, Vec<f64>)>,
+}
 
-    let mut rank = 0;
-    for col in 0..n {
-        let Some(pivot) = (rank..rows.len()).find(|&r| rows[r][col].abs() > 1e-9) else {
-            continue;
-        };
-        rows.swap(rank, pivot);
-        let pivot_val = rows[rank][col];
-        for r in 0..rows.len() {
-            if r != rank && rows[r][col].abs() > 1e-12 {
-                let f = rows[r][col] / pivot_val;
-                // why: Gaussian elimination reads row/col indices off the
-                // math; a zip over two mutable row slices would not.
-                #[allow(clippy::needless_range_loop)]
-                for c in col..n {
-                    let delta = f * rows[rank][c];
-                    rows[r][c] -= delta;
-                }
-            }
-        }
-        rank += 1;
-        if rank == rows.len() {
-            break;
+impl SpanBasis {
+    fn new(n: usize) -> Self {
+        SpanBasis {
+            n,
+            rows: Vec::new(),
         }
     }
-    rank
+
+    fn rank(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// χ_S minus its elimination against every row: zero iff χ_S lies in
+    /// the span.
+    fn residual(&self, s: Coalition) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..self.n).map(|p| s.contains(p) as u64 as f64).collect();
+        for (pivot, row) in &self.rows {
+            let f = v[*pivot];
+            for (vi, &ri) in v.iter_mut().zip(row) {
+                *vi -= f * ri;
+            }
+        }
+        v
+    }
+
+    fn contains(&self, s: Coalition) -> bool {
+        self.residual(s).iter().all(|r| r.abs() <= SPAN_TOL)
+    }
+
+    /// Adds χ_S to the span; the rank grows only if χ_S was outside it.
+    fn insert(&mut self, s: Coalition) {
+        let mut v = self.residual(s);
+        let pivot = (0..self.n)
+            .filter(|&c| v[c].abs() > SPAN_TOL)
+            .max_by(|&a, &b| v[a].abs().total_cmp(&v[b].abs()));
+        if let Some(pivot) = pivot {
+            let inv = 1.0 / v[pivot];
+            for r in &mut v {
+                *r *= inv;
+            }
+            v[pivot] = 1.0;
+            self.rows.push((pivot, v));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +306,8 @@ mod tests {
     use super::*;
     use crate::core_solution::{is_core_nonempty, is_in_core};
     use crate::game::FnGame;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn assert_vec_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -369,5 +424,129 @@ mod tests {
         // Efficiency plus: nucleolus must dominate each singleton value.
         assert!((x.iter().sum::<f64>() - 1300.0).abs() < 1e-6);
         assert!(x[2] >= 800.0 - 1e-6);
+    }
+
+    /// The freeze test without the slack screen or the span certificate:
+    /// one auxiliary LP per active coalition, every stage. The oracle the
+    /// cheap test must match bit for bit (for `n ≥ 2`).
+    fn nucleolus_one_lp_per_coalition<G: CoalitionalGame>(game: &G) -> Result<Vec<f64>, GameError> {
+        let n = game.n_players();
+        let grand = Coalition::grand(n);
+        let mut frozen: Vec<(Coalition, f64)> = Vec::new();
+        let mut span = SpanBasis::new(n);
+        span.insert(grand);
+        let mut active: Vec<Coalition> = Coalition::all(n)
+            .filter(|&s| !s.is_empty() && s != grand)
+            .collect();
+        loop {
+            let (eps, x) = solve_stage(game, n, &frozen, &active, None)?;
+            let mut still_active = Vec::new();
+            for &s in &active {
+                let max_xs = maximize_coalition_payoff(game, n, &frozen, &active, eps, s)?;
+                if max_xs <= game.value(s) - eps + TOL {
+                    span.insert(s);
+                    frozen.push((s, eps));
+                } else {
+                    still_active.push(s);
+                }
+            }
+            if still_active.len() == active.len() {
+                return Err(GameError::NumericallyStuck {
+                    context: "nucleolus",
+                });
+            }
+            active = still_active;
+            if active.is_empty() || span.rank() >= n {
+                return Ok(x);
+            }
+        }
+    }
+
+    /// Game from a value table indexed by coalition mask (V(∅) = 0).
+    fn table_game(n: usize, values: Vec<f64>) -> FnGame<impl Fn(Coalition) -> f64 + Sync> {
+        FnGame::new(
+            n,
+            move |c: Coalition| {
+                if c.is_empty() {
+                    0.0
+                } else {
+                    values[c.index()]
+                }
+            },
+        )
+    }
+
+    /// Threshold game in the shape of the synthetic federations: V(S) is
+    /// S's capacity once its locations pass 30 % of the total, else 0.
+    /// Few distinct location counts make many coalitions tie.
+    fn threshold_values(n: usize, locations: &[u32], capacity: &[u32]) -> Vec<f64> {
+        let total: u32 = locations[..n].iter().sum();
+        let threshold = (f64::from(total) * 0.3).floor();
+        Coalition::all(n)
+            .map(|c| {
+                let locs: u32 = c.players().map(|p| locations[p]).sum();
+                let cap: u32 = c.players().map(|p| locations[p] * capacity[p]).sum();
+                if f64::from(locs) > threshold {
+                    f64::from(cap)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// Convex game (w(S)²) plus small per-coalition noise, which breaks
+    /// the ties a pure convex game has and spreads the freezes over
+    /// several stages.
+    fn convex_noisy_values(n: usize, weights: &[u32], noise: &[u32]) -> Vec<f64> {
+        Coalition::all(n)
+            .map(|c| {
+                let w: u32 = c.players().map(|p| weights[p]).sum();
+                f64::from(w * w) + f64::from(noise[c.index()]) / 2.0
+            })
+            .collect()
+    }
+
+    fn fast_matches_oracle(n: usize, values: Vec<f64>) -> Result<(), TestCaseError> {
+        let game = table_game(n, values);
+        let bits = |r: Result<Vec<f64>, GameError>| {
+            r.map(|x| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        prop_assert_eq!(
+            bits(try_nucleolus(&game)),
+            bits(nucleolus_one_lp_per_coalition(&game))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cheap_freeze_test_matches_oracle_on_random_integer_games(
+            n in 2usize..=7,
+            values in prop::collection::vec(0u32..=30, 128),
+        ) {
+            let values = values[..1 << n].iter().map(|&v| f64::from(v)).collect();
+            fast_matches_oracle(n, values)?;
+        }
+
+        #[test]
+        fn cheap_freeze_test_matches_oracle_on_threshold_games(
+            n in 2usize..=7,
+            locations in prop::collection::vec(3u32..=6, 7),
+            capacity in prop::collection::vec(1u32..=4, 7),
+        ) {
+            fast_matches_oracle(n, threshold_values(n, &locations, &capacity))?;
+        }
+
+        #[test]
+        fn cheap_freeze_test_matches_oracle_on_noisy_convex_games(
+            n in 2usize..=7,
+            weights in prop::collection::vec(1u32..=5, 7),
+            noise in prop::collection::vec(0u32..=3, 128),
+        ) {
+            fast_matches_oracle(n, convex_noisy_values(n, &weights, &noise))?;
+        }
     }
 }
