@@ -322,15 +322,17 @@ if ! grep -q "worker_restarts=" "$chaos_tmp/serve.log"; then
     exit 1
 fi
 
-echo "== benchmark gate smoke (perfbench tests + synthetic-n200 and stability-n7 runs)"
+echo "== benchmark gate smoke (perfbench tests + paper-sweep, synthetic-n200 and stability-n7 runs)"
 # The benchmark is its own Cargo workspace under perfbench/. Its tests,
 # and one short run per workload below whose last stdout line is the JSON
 # verdict, catch a change that breaks its build or its correctness gate
 # (fingerprints, invariants) before the full benchmark runs. The
+# paper-sweep verdict checks the Fig. 4-9 totals against
+# BENCH_pipeline.json, the 188 sweep points and every paper claim; the
 # stability-n7 verdict, with bench_pipeline --check, is what pins the
 # nucleolus share bits.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-for workload in synthetic-n200 stability-n7; do
+for workload in paper-sweep synthetic-n200 stability-n7; do
     bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
     case "$bench_verdict" in

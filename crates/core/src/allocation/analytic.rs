@@ -20,7 +20,9 @@
 //! single-class demand by integer-scaling capacities (`c → ⌊c/r⌋`); mixed-`r`
 //! mixtures are the exact solver's and the simulator's job (see DESIGN.md).
 
-use super::feasibility::{balanced_partition, is_realizable, max_total_sizes};
+use super::feasibility::{
+    balanced_partition, is_realizable, max_total_sizes, max_total_with, MaxTotalScratch,
+};
 use crate::experiment::Demand;
 use crate::location::CapacityProfile;
 
@@ -61,7 +63,7 @@ impl ProfileSolution {
     }
 
     /// All admitted sizes tagged by class, descending by size — the input
-    /// to [`realize_assignment`](super::feasibility::realize_assignment).
+    /// to [`realize_usage`](super::feasibility::realize_usage).
     pub fn sizes_desc(&self) -> Vec<(usize, u64)> {
         let mut v: Vec<(usize, u64)> = self
             .per_class
@@ -376,6 +378,9 @@ fn solve_single_class(
 /// achievable total, so for each grid cell of the threshold classes the
 /// single filler class (when there is exactly one) is set to its largest
 /// feasible count by binary search.
+///
+/// A cell only needs its total, which [`LinearCells`] computes in reused
+/// buffers; the class-tagged sizes are built once, for the winning cell.
 fn solve_linear_mixture(
     profile: &CapacityProfile,
     demand: &Demand,
@@ -408,42 +413,42 @@ fn solve_linear_mixture(
         return Err(SolveError::SearchTooLarge);
     }
 
-    // (utility, admission counts, class-tagged sizes)
-    type Best = (f64, Vec<u64>, Vec<(usize, u64)>);
-    let mut best: Option<Best> = None;
+    let mut cells = LinearCells::new(profile, demand);
+    let mut best: Option<f64> = None;
+    let mut best_admissions = vec![0u64; classes.len()];
     let mut admissions = vec![0u64; classes.len()];
     loop {
         // Evaluate current admission vector (filling the filler class).
-        let candidate = match filler {
-            None => evaluate_linear(profile, demand, &admissions)
-                .map(|(u, t)| (u, admissions.clone(), t)),
+        let total = match filler {
+            None => cells.total(&admissions),
             Some(fk) => {
                 // Binary search the largest feasible filler count: the lb
                 // vector's feasibility is monotone in it.
-                let mut trial = admissions.clone();
-                let feasible = |cnt: u64, trial: &mut Vec<u64>| {
-                    trial[fk] = cnt;
-                    evaluate_linear(profile, demand, trial)
+                let mut feasible = |cnt: u64, admissions: &mut [u64]| {
+                    admissions[fk] = cnt;
+                    cells.total(admissions)
                 };
-                if feasible(0, &mut trial).is_none() {
+                if feasible(0, &mut admissions).is_none() {
                     None
                 } else {
                     let (mut lo, mut hi) = (0u64, caps[fk]);
                     while lo < hi {
                         let mid = lo + (hi - lo).div_ceil(2);
-                        if feasible(mid, &mut trial).is_some() {
+                        if feasible(mid, &mut admissions).is_some() {
                             lo = mid;
                         } else {
                             hi = mid - 1;
                         }
                     }
-                    feasible(lo, &mut trial).map(|(u, t)| (u, trial.clone(), t))
+                    feasible(lo, &mut admissions)
                 }
             }
         };
-        if let Some((utility, adm, tagged)) = candidate {
-            if best.as_ref().is_none_or(|(u, _, _)| utility > *u) {
-                best = Some((utility, adm, tagged));
+        if let Some(total) = total {
+            let utility = total as f64;
+            if best.is_none_or(|u| utility > u) {
+                best = Some(utility);
+                best_admissions.copy_from_slice(&admissions);
             }
         }
         // Advance mixed-radix counter over non-filler classes.
@@ -451,10 +456,13 @@ fn solve_linear_mixture(
         loop {
             if k == classes.len() {
                 // Done scanning.
-                let Some((utility, admissions, tagged)) = best else {
+                let Some(utility) = best else {
                     return Ok(ProfileSolution::zero(classes.len()));
                 };
-                return Ok(assemble(classes.len(), utility, &admissions, tagged));
+                let Some((_, tagged)) = evaluate_linear(profile, demand, &best_admissions) else {
+                    return Ok(ProfileSolution::zero(classes.len()));
+                };
+                return Ok(assemble(classes.len(), utility, &best_admissions, tagged));
             }
             if Some(k) == filler {
                 k += 1;
@@ -467,6 +475,64 @@ fn solve_linear_mixture(
             admissions[k] = 0;
             k += 1;
         }
+    }
+}
+
+/// The admission-grid cells of one linear mixture, valued by total alone:
+/// the same bound vectors [`evaluate_linear`] builds, in buffers reused
+/// from cell to cell.
+struct LinearCells<'a> {
+    profile: &'a CapacityProfile,
+    /// `(class, lb, ub)` by descending `lb`, ties in class order — the
+    /// order `evaluate_linear`'s stable sort lays the experiments out in.
+    classes: Vec<(usize, u64, u64)>,
+    lbs: Vec<u64>,
+    ubs: Vec<u64>,
+    scratch: MaxTotalScratch,
+}
+
+impl<'a> LinearCells<'a> {
+    fn new(profile: &'a CapacityProfile, demand: &Demand) -> LinearCells<'a> {
+        let mut classes: Vec<(usize, u64, u64)> = demand
+            .components
+            .iter()
+            .enumerate()
+            .map(|(k, comp)| {
+                let lb = comp.class.min_size();
+                (k, lb, comp.class.max_size(profile.n_locations()))
+            })
+            .collect();
+        classes.sort_by_key(|&(_, lb, _)| std::cmp::Reverse(lb));
+        LinearCells {
+            profile,
+            classes,
+            lbs: Vec::new(),
+            ubs: Vec::new(),
+            scratch: MaxTotalScratch::default(),
+        }
+    }
+
+    /// Total slots of the admission vector `admissions`, or `None` if
+    /// infeasible — `evaluate_linear`'s total, without its allocations.
+    fn total(&mut self, admissions: &[u64]) -> Option<u64> {
+        self.lbs.clear();
+        self.ubs.clear();
+        for &(k, lb, ub) in &self.classes {
+            if ub < lb && admissions[k] > 0 {
+                return None;
+            }
+            for _ in 0..admissions[k] {
+                self.lbs.push(lb);
+                self.ubs.push(ub);
+            }
+        }
+        max_total_with(
+            self.profile,
+            &self.lbs,
+            &self.ubs,
+            &mut self.scratch,
+            |_| {},
+        )
     }
 }
 
@@ -732,5 +798,159 @@ mod tests {
         let s = solve(&p, &Demand::one_experiment(class)).unwrap();
         assert_eq!(s.total_utility, 5.0);
         assert_eq!(s.per_class[0].sizes, vec![5]);
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::experiment::{DemandComponent, ExperimentClass, Volume};
+    use proptest::prelude::*;
+
+    /// The mixture scan that [`solve_linear_mixture`] replaced: every cell
+    /// builds its class-tagged sizes through [`evaluate_linear`].
+    fn solve_linear_mixture_reference(
+        profile: &CapacityProfile,
+        demand: &Demand,
+    ) -> Result<ProfileSolution, SolveError> {
+        let classes = &demand.components;
+        // Per-class bounds.
+        let mut caps = Vec::with_capacity(classes.len());
+        for c in classes {
+            let lb = c.class.min_size();
+            let sat = saturation_bound(profile, lb);
+            caps.push(c.volume.cap(sat).min(sat));
+        }
+
+        // Identify the filler optimization opportunity.
+        let fillers: Vec<usize> = classes
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.class.min_size() == 1)
+            .map(|(k, _)| k)
+            .collect();
+        let filler = (fillers.len() == 1).then(|| fillers[0]);
+
+        let grid: u64 = caps
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| Some(k) != filler)
+            .map(|(_, &c)| c + 1)
+            .product();
+        if grid > MAX_GRID {
+            return Err(SolveError::SearchTooLarge);
+        }
+
+        // (utility, admission counts, class-tagged sizes)
+        type Best = (f64, Vec<u64>, Vec<(usize, u64)>);
+        let mut best: Option<Best> = None;
+        let mut admissions = vec![0u64; classes.len()];
+        loop {
+            // Evaluate current admission vector (filling the filler class).
+            let candidate = match filler {
+                None => evaluate_linear(profile, demand, &admissions)
+                    .map(|(u, t)| (u, admissions.clone(), t)),
+                Some(fk) => {
+                    // Binary search the largest feasible filler count: the lb
+                    // vector's feasibility is monotone in it.
+                    let mut trial = admissions.clone();
+                    let feasible = |cnt: u64, trial: &mut Vec<u64>| {
+                        trial[fk] = cnt;
+                        evaluate_linear(profile, demand, trial)
+                    };
+                    if feasible(0, &mut trial).is_none() {
+                        None
+                    } else {
+                        let (mut lo, mut hi) = (0u64, caps[fk]);
+                        while lo < hi {
+                            let mid = lo + (hi - lo).div_ceil(2);
+                            if feasible(mid, &mut trial).is_some() {
+                                lo = mid;
+                            } else {
+                                hi = mid - 1;
+                            }
+                        }
+                        feasible(lo, &mut trial).map(|(u, t)| (u, trial.clone(), t))
+                    }
+                }
+            };
+            if let Some((utility, adm, tagged)) = candidate {
+                if best.as_ref().is_none_or(|(u, _, _)| utility > *u) {
+                    best = Some((utility, adm, tagged));
+                }
+            }
+            // Advance mixed-radix counter over non-filler classes.
+            let mut k = 0;
+            loop {
+                if k == classes.len() {
+                    // Done scanning.
+                    let Some((utility, admissions, tagged)) = best else {
+                        return Ok(ProfileSolution::zero(classes.len()));
+                    };
+                    return Ok(assemble(classes.len(), utility, &admissions, tagged));
+                }
+                if Some(k) == filler {
+                    k += 1;
+                    continue;
+                }
+                if admissions[k] < caps[k] {
+                    admissions[k] += 1;
+                    break;
+                }
+                admissions[k] = 0;
+                k += 1;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The allocation-free scan picks the same cell as the per-cell
+        /// reference and reports the same solution, bit for bit: 2- and
+        /// 3-class linear mixtures with no filler class, one (scanned by
+        /// binary search), or two (both scanned).
+        #[test]
+        fn linear_mixture_matches_per_cell_reference(
+            groups in prop::collection::vec((1u64..=40, 1u64..=120), 1..=3),
+            classes in prop::collection::vec((0u64..=300, 0u64..=30), 2..=3),
+            fillers in 0usize..=2,
+            fill_capacity in prop::bool::ANY,
+        ) {
+            let profile = CapacityProfile::from_groups(groups);
+            let three = classes.len() == 3;
+            let components: Vec<DemandComponent> = classes
+                .iter()
+                .enumerate()
+                .map(|(k, &(threshold, count))| {
+                    let filler = k < fillers;
+                    // Fillers take l = 0 (min size 1); the rest need ≥ 2.
+                    // Only a lone filler may fill capacity: two are both
+                    // scanned, over a grid too large for a unit test.
+                    let l = if filler { 0 } else { threshold.max(1) };
+                    let volume = if filler && fillers == 1 && fill_capacity {
+                        Volume::CapacityFilling
+                    } else if three {
+                        Volume::Count(count % 13)
+                    } else {
+                        Volume::Count(count)
+                    };
+                    DemandComponent {
+                        class: ExperimentClass::simple(format!("c{k}"), l as f64, 1.0),
+                        volume,
+                    }
+                })
+                .collect();
+            let demand = Demand { components };
+            let got = solve(&profile, &demand);
+            let want = solve_linear_mixture_reference(&profile, &demand);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.total_utility.to_bits(), want.total_utility.to_bits());
+                    prop_assert_eq!(got.per_class, want.per_class);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 }

@@ -12,10 +12,12 @@
 //!
 //! (`B` is provided by [`CapacityProfile::usable_slots`].) All optimizers in
 //! this module reason over sorted size vectors through this condition and
-//! only construct explicit location assignments at the end
-//! ([`realize_assignment`], the constructive half of Gale–Ryser).
+//! only construct explicit location usage at the end ([`realize_usage`],
+//! the constructive half of Gale–Ryser).
 
-use crate::location::{CapacityProfile, LocationId, LocationOffer};
+use crate::location::CapacityProfile;
+#[cfg(test)]
+use crate::location::{LocationId, LocationOffer};
 
 /// Checks the Gale–Ryser condition for a **descending** size vector.
 ///
@@ -49,117 +51,83 @@ pub fn is_realizable(sizes_desc: &[u64], profile: &CapacityProfile) -> bool {
 /// we must leave enough budget for the lower bounds of every later
 /// position, i.e. for all `k > j`: `P_j + Σ_{i=j+1..k} lbᵢ ≤ B(k)`.
 /// Because the prefix constraints form a chain (a polymatroid), this
-/// greedy is exact.
+/// greedy is exact. The caps for every `k` at once come from one suffix
+/// minimum, so the greedy is O(m·g) for `m` positions and `g` capacity
+/// groups (`docs/derivations.md` §5).
 pub fn max_total_sizes(profile: &CapacityProfile, lb: &[u64], ub: &[u64]) -> Option<Vec<u64>> {
+    let mut x = Vec::with_capacity(lb.len());
+    max_total_with(profile, lb, ub, &mut MaxTotalScratch::default(), |v| {
+        x.push(v)
+    })?;
+    debug_assert!(is_realizable(&x, profile));
+    Some(x)
+}
+
+/// Reusable buffers for [`max_total_with`], so a scan over many bound
+/// vectors allocates once.
+#[derive(Debug, Default)]
+pub(crate) struct MaxTotalScratch {
+    reserve: Vec<u64>,
+    tight: Vec<u64>,
+}
+
+/// The greedy of [`max_total_sizes`]: hands each fixed `xⱼ` to `emit`, in
+/// position order, and returns the total `Σ xⱼ` (`None` if `lb` is
+/// infeasible).
+///
+/// With `reserve[j] = Σ_{i ≥ j} lbᵢ` and `aₖ = B(k+1) + reserve[k+1]`, the
+/// cap on `xⱼ` from the prefix constraint `k ≥ j` is
+/// `max(0, aₖ − (P + reserve[j+1]))`, `P` the prefix fixed so far. The
+/// offset does not depend on `k`, and `min_k max(0, aₖ − c) =
+/// max(0, min_k aₖ − c)`, so the cap over every `k ≥ j` is
+/// `tight[j] − (P + reserve[j+1])` saturated at 0, where `tight[j] =
+/// min_{k ≥ j} aₖ` is one suffix minimum. The same minimum checks `lb`:
+/// its prefix sums fit under `B` iff `reserve[0] ≤ tight[0]`.
+pub(crate) fn max_total_with(
+    profile: &CapacityProfile,
+    lb: &[u64],
+    ub: &[u64],
+    scratch: &mut MaxTotalScratch,
+    mut emit: impl FnMut(u64),
+) -> Option<u64> {
     let m = lb.len();
     if ub.len() != m {
         // Mismatched bound vectors have no feasible interpretation.
         return None;
     }
     debug_assert!(lb.windows(2).all(|w| w[0] >= w[1]), "lb must be descending");
-    if m == 0 {
-        return Some(Vec::new());
-    }
-    if !is_realizable(lb, profile) {
-        return None;
-    }
-    // Suffix sums of lower bounds: reserve[j] = Σ_{i ≥ j} lb[i].
-    let mut reserve = vec![0u64; m + 1];
+    let n_locations = profile.n_locations();
+    let MaxTotalScratch { reserve, tight } = scratch;
+    reserve.clear();
+    reserve.resize(m + 1, 0);
     for j in (0..m).rev() {
         reserve[j] = reserve[j + 1] + lb[j];
     }
+    tight.clear();
+    tight.resize(m + 1, u64::MAX);
+    for k in (0..m).rev() {
+        tight[k] = tight[k + 1].min(profile.usable_slots(k as u64 + 1) + reserve[k + 1]);
+    }
+    // `is_realizable(lb)`, from the suffix minimum.
+    if reserve[0] > tight[0] || lb.iter().any(|&l| l > n_locations) {
+        return None;
+    }
 
-    let mut x = vec![0u64; m];
     let mut prefix = 0u64;
+    let mut prev = u64::MAX;
     for j in 0..m {
-        // Cap from every future prefix constraint k ≥ j (0-indexed):
-        //   x_j ≤ B(k+1) − prefix − Σ_{i=j+1..k} lb_i
-        // The tightest k is found by scanning; B is cheap. (k ranges j..m−1.)
-        let mut cap = u64::MAX;
-        for k in j..m {
-            let b = profile.usable_slots(k as u64 + 1);
-            let reserved_between = reserve[j + 1] - reserve[k + 1];
-            let budget = b.saturating_sub(prefix + reserved_between);
-            cap = cap.min(budget);
-            // Once budgets stop decreasing we could break, but m is small.
-        }
-        let upper = ub[j]
-            .min(profile.n_locations())
-            .min(if j > 0 { x[j - 1] } else { u64::MAX });
+        let cap = tight[j].saturating_sub(prefix + reserve[j + 1]);
+        let upper = ub[j].min(n_locations).min(prev);
         let val = cap.min(upper).max(lb[j]);
-        if val < lb[j] || val > upper {
-            // Reservation made lb unreachable — cannot happen if lb was
-            // realizable, kept as a defensive check.
+        if val > upper {
+            // lb[j] exceeds its upper bound (`ub < lb` at this position).
             return None;
         }
-        x[j] = val;
+        emit(val);
+        prev = val;
         prefix += val;
     }
-    debug_assert!(is_realizable(&x, profile));
-    Some(x)
-}
-
-/// The most **balanced** descending vector with the same total as
-/// [`max_total_sizes`] would produce, subject to the same constraints.
-///
-/// Starts from the greedy max-total vector and performs Robin-Hood
-/// transfers (largest → smallest) — each transfer preserves the total,
-/// keeps the vector within bounds, and can only relax the prefix sums, so
-/// Gale–Ryser is maintained.
-pub fn balanced_max_total_sizes(
-    profile: &CapacityProfile,
-    lb: &[u64],
-    ub: &[u64],
-) -> Option<Vec<u64>> {
-    let mut x = max_total_sizes(profile, lb, ub)?;
-    let m = x.len();
-    if m < 2 {
-        return Some(x);
-    }
-    // Repeatedly move one unit from the largest surplus slot to the
-    // smallest deficit slot, while the move keeps sortedness-compatible
-    // bounds and prefix feasibility. Because each move strictly decreases
-    // the sum of squares, this terminates.
-    loop {
-        // Find donor: position with the largest x[j] that can give a unit
-        // (x[j] − 1 ≥ lb[j]); recipient: smallest x[j] that can take one
-        // (x[j] + 1 ≤ ub[j]).
-        let mut donor: Option<usize> = None;
-        let mut recipient: Option<usize> = None;
-        for j in 0..m {
-            if x[j] > lb[j] && donor.is_none_or(|d| x[j] > x[d]) {
-                donor = Some(j);
-            }
-            if x[j] < ub[j] && recipient.is_none_or(|r| x[j] < x[r]) {
-                recipient = Some(j);
-            }
-        }
-        let (Some(d), Some(r)) = (donor, recipient) else {
-            break;
-        };
-        if x[d] <= x[r] + 1 {
-            break; // already balanced within one unit
-        }
-        x[d] -= 1;
-        x[r] += 1;
-        let mut sorted = x.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        if !is_realizable(&sorted, profile) || !respects_bounds(&x, lb, ub) {
-            // Revert and stop: no further balancing possible.
-            x[d] += 1;
-            x[r] -= 1;
-            break;
-        }
-    }
-    x.sort_unstable_by(|a, b| b.cmp(a));
-    Some(x)
-}
-
-fn respects_bounds(x: &[u64], lb: &[u64], ub: &[u64]) -> bool {
-    x.iter()
-        .zip(lb)
-        .zip(ub)
-        .all(|((&v, &l), &u)| v >= l && v <= u)
+    Some(prefix)
 }
 
 /// Splits `total` into `m` parts as evenly as possible (descending).
@@ -176,13 +144,119 @@ pub fn balanced_partition(total: u64, m: u64) -> Vec<u64> {
     parts
 }
 
-/// Constructively realizes a feasible size vector as a location assignment
-/// (the algorithmic half of Gale–Ryser): each experiment, in descending
-/// size order, takes the locations with the most remaining capacity.
+/// Constructively realizes a feasible size vector on concrete locations
+/// (the algorithmic half of Gale–Ryser): each experiment, in the given
+/// order, takes the locations with the most remaining capacity, ties
+/// broken by position. Returns the slots used at each location, aligned
+/// with `capacities` (given in offer order), or `None` if some experiment
+/// does not fit.
 ///
-/// Returns per-location usage keyed by location id, plus per-experiment
-/// location lists. Panics (debug) if the vector is infeasible.
-pub fn realize_assignment(offer: &LocationOffer, sizes_desc: &[u64]) -> Option<Assignment> {
+/// The residual capacity is kept as runs of consecutive positions with
+/// equal residual, sorted by residual (descending), then start. An
+/// experiment takes runs from the front of that order — exactly the
+/// prefix of a stable sort of the positions by residual — and splits at
+/// most the last one. Every taken run loses one unit, which keeps the
+/// taken runs in order among themselves, so the new order is one merge of
+/// the taken and the untaken runs; runs that meet with the same residual
+/// coalesce on the way. O(m·runs + L) for `m` experiments on `L`
+/// locations.
+pub fn realize_usage(capacities: &[u64], sizes: &[u64]) -> Option<Vec<u64>> {
+    let mut runs: Vec<Run> = Vec::new();
+    for (start, &residual) in capacities.iter().enumerate() {
+        push_run(
+            &mut runs,
+            Run {
+                residual,
+                start,
+                len: 1,
+            },
+        );
+    }
+    runs.sort_unstable_by_key(Run::order);
+
+    let mut taken: Vec<Run> = Vec::new();
+    let mut next: Vec<Run> = Vec::with_capacity(runs.len() + 1);
+    for &x in sizes {
+        if x > capacities.len() as u64 {
+            return None;
+        }
+        taken.clear();
+        let mut need = x as usize;
+        let mut untaken = 0;
+        while need > 0 {
+            let run = runs.get_mut(untaken)?;
+            if run.residual == 0 {
+                return None;
+            }
+            let t = run.len.min(need);
+            taken.push(Run {
+                residual: run.residual - 1,
+                start: run.start,
+                len: t,
+            });
+            need -= t;
+            if t == run.len {
+                untaken += 1;
+            } else {
+                run.start += t;
+                run.len -= t;
+            }
+        }
+        next.clear();
+        let (mut a, mut b) = (taken.iter().peekable(), runs[untaken..].iter().peekable());
+        loop {
+            let run = match (a.peek(), b.peek()) {
+                (Some(p), Some(q)) if q.order() < p.order() => b.next(),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            };
+            let Some(&run) = run else { break };
+            push_run(&mut next, run);
+        }
+        std::mem::swap(&mut runs, &mut next);
+    }
+
+    let mut usage = vec![0u64; capacities.len()];
+    for run in &runs {
+        let span = run.start..run.start + run.len;
+        for (used, &cap) in usage[span.clone()].iter_mut().zip(&capacities[span]) {
+            *used = cap - run.residual;
+        }
+    }
+    Some(usage)
+}
+
+/// Positions `start..start + len`, all with residual capacity `residual`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    residual: u64,
+    start: usize,
+    len: usize,
+}
+
+impl Run {
+    /// Selection order: most residual first, then lowest position.
+    fn order(&self) -> (std::cmp::Reverse<u64>, usize) {
+        (std::cmp::Reverse(self.residual), self.start)
+    }
+}
+
+/// Appends `run`, coalescing it into the last run when it continues that
+/// run's positions at the same residual.
+fn push_run(runs: &mut Vec<Run>, run: Run) {
+    match runs.last_mut() {
+        Some(last) if last.residual == run.residual && last.start + last.len == run.start => {
+            last.len += run.len;
+        }
+        _ => runs.push(run),
+    }
+}
+
+/// The per-experiment greedy that [`realize_usage`] replaces: a stable
+/// sort of every location by residual for each experiment. Kept as the
+/// test oracle.
+#[cfg(test)]
+pub(crate) fn realize_assignment(offer: &LocationOffer, sizes_desc: &[u64]) -> Option<Assignment> {
     let mut residual: Vec<(LocationId, u64)> = offer.iter().collect();
     let mut experiments = Vec::with_capacity(sizes_desc.len());
     for &x in sizes_desc {
@@ -216,8 +290,9 @@ pub fn realize_assignment(offer: &LocationOffer, sizes_desc: &[u64]) -> Option<A
 }
 
 /// An explicit realization of an allocation.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// Location ids used by each experiment (sorted), in the order the
     /// size vector was given.
     pub experiments: Vec<Vec<LocationId>>,
@@ -284,25 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_respects_total_and_bounds() {
-        let p = profile(&[(20, 400), (80, 100)]);
-        let m = 40usize;
-        let lb = vec![101u64; m];
-        let ub = vec![p.n_locations(); m];
-        let greedy = max_total_sizes(&p, &lb, &ub).unwrap();
-        let balanced = balanced_max_total_sizes(&p, &lb, &ub).unwrap();
-        assert_eq!(
-            greedy.iter().sum::<u64>(),
-            balanced.iter().sum::<u64>(),
-            "balancing must preserve the total"
-        );
-        let spread_g = greedy.first().unwrap() - greedy.last().unwrap();
-        let spread_b = balanced.first().unwrap() - balanced.last().unwrap();
-        assert!(spread_b <= spread_g);
-        assert!(is_realizable(&balanced, &p));
-    }
-
-    #[test]
     fn balanced_partition_shapes() {
         assert_eq!(balanced_partition(10, 3), vec![4, 3, 3]);
         assert_eq!(balanced_partition(9, 3), vec![3, 3, 3]);
@@ -351,6 +407,66 @@ mod property_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The O(m²·g) greedy that [`max_total_sizes`] replaced: every position
+    /// rescans every later prefix constraint.
+    fn max_total_sizes_reference(
+        profile: &CapacityProfile,
+        lb: &[u64],
+        ub: &[u64],
+    ) -> Option<Vec<u64>> {
+        let m = lb.len();
+        if ub.len() != m {
+            return None;
+        }
+        if m == 0 {
+            return Some(Vec::new());
+        }
+        if !is_realizable(lb, profile) {
+            return None;
+        }
+        let mut reserve = vec![0u64; m + 1];
+        for j in (0..m).rev() {
+            reserve[j] = reserve[j + 1] + lb[j];
+        }
+        let mut x = vec![0u64; m];
+        let mut prefix = 0u64;
+        for j in 0..m {
+            let mut cap = u64::MAX;
+            for k in j..m {
+                let b = profile.usable_slots(k as u64 + 1);
+                let reserved_between = reserve[j + 1] - reserve[k + 1];
+                cap = cap.min(b.saturating_sub(prefix + reserved_between));
+            }
+            let upper =
+                ub[j]
+                    .min(profile.n_locations())
+                    .min(if j > 0 { x[j - 1] } else { u64::MAX });
+            let val = cap.min(upper).max(lb[j]);
+            if val < lb[j] || val > upper {
+                return None;
+            }
+            x[j] = val;
+            prefix += val;
+        }
+        Some(x)
+    }
+
+    /// Up to 60 offers of capacity 1..=6 on location ids 0..40 (times a
+    /// `spread` that scatters them); offers at one id overlap and add up.
+    fn scattered_offer_strategy() -> impl Strategy<Value = LocationOffer> {
+        (
+            prop::collection::vec((0u32..40, 1u64..=6), 1..=60),
+            1u32..=3,
+        )
+            .prop_map(|(entries, spread)| {
+                let mut offer = LocationOffer::new();
+                for (id, cap) in entries {
+                    offer.add(id * spread, cap);
+                }
+                offer
+            })
+    }
+
     fn offer_strategy() -> impl Strategy<Value = LocationOffer> {
         prop::collection::vec(1u64..=4, 1..=8).prop_map(|caps| {
             let mut offer = LocationOffer::new();
@@ -398,6 +514,56 @@ mod property_tests {
                     prop_assert_eq!(dedup.len(), locs.len());
                 }
             }
+        }
+
+        /// The suffix-minimum greedy returns exactly the quadratic loop's
+        /// `Option`, feasible or not: 1–4 capacity groups, capacities
+        /// 1..=80, m ≤ 80, descending bounds, `ub` sometimes below `lb`.
+        #[test]
+        fn max_total_matches_quadratic_reference(
+            groups in prop::collection::vec((1u64..=80, 1u64..=120), 1..=4),
+            bounds in prop::collection::vec((0u64..=1000, 0u64..=1000), 0..=80),
+            lb_scale in 1u64..=400,
+            ub_scale in 1u64..=600,
+        ) {
+            let profile = CapacityProfile::from_groups(groups);
+            let mut lb: Vec<u64> = bounds.iter().map(|&(l, _)| l % (lb_scale + 1)).collect();
+            let mut ub: Vec<u64> = bounds.iter().map(|&(_, u)| u % (ub_scale + 1)).collect();
+            lb.sort_unstable_by(|a, b| b.cmp(a));
+            ub.sort_unstable_by(|a, b| b.cmp(a));
+            prop_assert_eq!(
+                max_total_sizes(&profile, &lb, &ub),
+                max_total_sizes_reference(&profile, &lb, &ub),
+                "lb {:?} ub {:?} on {:?}",
+                lb,
+                ub,
+                profile.groups()
+            );
+        }
+
+        /// Run-length realization uses every location exactly as the
+        /// per-experiment stable sort does, and fails on the same inputs.
+        #[test]
+        fn realize_usage_matches_assignment_oracle(
+            offer in scattered_offer_strategy(),
+            raw_sizes in prop::collection::vec(0u64..=60, 0..=30),
+            size_scale in 1u64..=40,
+            descending in prop::bool::ANY,
+        ) {
+            let capacities: Vec<u64> = offer.iter().map(|(_, cap)| cap).collect();
+            let mut sizes: Vec<u64> = raw_sizes.iter().map(|&x| x % (size_scale + 1)).collect();
+            if descending {
+                sizes.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            let oracle = realize_assignment(&offer, &sizes)
+                .map(|a| a.usage.iter().map(|&(_, used)| used).collect::<Vec<u64>>());
+            prop_assert_eq!(
+                realize_usage(&capacities, &sizes),
+                oracle,
+                "sizes {:?} on capacities {:?}",
+                sizes,
+                capacities
+            );
         }
 
         /// The greedy max-total vector is never beaten by any balanced

@@ -5,7 +5,7 @@
 //! Layering:
 //!
 //! * [`feasibility`] — Gale–Ryser realizability, max-total and balanced
-//!   size-vector construction, explicit location assignment.
+//!   size-vector construction, per-location usage of a realization.
 //! * [`analytic`] — the production optimizer ([`solve`]).
 //! * [`exact`] — exhaustive reference solver for tiny instances
 //!   ([`solve_exact`]), used to validate the analytic paths.
@@ -19,8 +19,5 @@ pub mod greedy;
 
 pub use analytic::{solve, ClassAllocation, ProfileSolution, SolveError};
 pub use exact::solve_exact;
-pub use feasibility::{
-    balanced_max_total_sizes, balanced_partition, is_realizable, max_total_sizes,
-    realize_assignment, Assignment,
-};
+pub use feasibility::{balanced_partition, is_realizable, max_total_sizes, realize_usage};
 pub use greedy::{solve_greedy, GreedyPolicy};

@@ -88,6 +88,26 @@ pub fn coalition_profile<'a, I: IntoIterator<Item = &'a Facility>>(
     CapacityProfile::from_offer(&merged)
 }
 
+/// Every facility's offer regrouped by location: one `(location, facility
+/// index, capacity)` entry per offered location of positive capacity,
+/// sorted by location, then facility. The entries of one location (a
+/// `chunk_by` on the id) are the facilities sharing it (Fig. 1), and
+/// their capacities sum to the merged offer's; walking them attributes a
+/// location's usage without a per-facility lookup.
+pub fn offers_by_location(facilities: &[Facility]) -> Vec<(LocationId, usize, u64)> {
+    let mut entries = Vec::with_capacity(facilities.iter().map(Facility::n_locations).sum());
+    for (i, f) in facilities.iter().enumerate() {
+        entries.extend(
+            f.offer
+                .iter()
+                .filter(|&(_, cap)| cap > 0)
+                .map(|(l, cap)| (l, i, cap)),
+        );
+    }
+    entries.sort_unstable();
+    entries
+}
+
 /// Each facility's `(capacity → #locations)` histogram on one shared
 /// capacity axis, plus whether the facilities' offers are pairwise
 /// disjoint.

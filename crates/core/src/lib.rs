@@ -58,7 +58,8 @@ pub use cost::CostModel;
 pub use dynamics::{DynamicClass, DynamicDemand, DynamicFederationGame, ValueMode};
 pub use experiment::{Demand, DemandComponent, ExperimentClass, Volume};
 pub use facility::{
-    coalition_profile, paper_facilities, paper_facilities_with_locations, Facility, ProfileIndex,
+    coalition_profile, offers_by_location, paper_facilities, paper_facilities_with_locations,
+    Facility, ProfileIndex,
 };
 pub use location::{CapacityProfile, LocationId, LocationOffer};
 pub use overlap::{block_overlap, diversity_discount, IndependentCoverage};

@@ -99,8 +99,14 @@ pub struct CapacityProfile {
 impl CapacityProfile {
     /// Builds the profile of a merged offer.
     pub fn from_offer(offer: &LocationOffer) -> CapacityProfile {
+        CapacityProfile::from_capacities(offer.iter().map(|(_, r)| r))
+    }
+
+    /// Builds the profile of locations with the given capacities, one
+    /// per location.
+    pub fn from_capacities<I: IntoIterator<Item = u64>>(capacities: I) -> CapacityProfile {
         let mut by_cap: BTreeMap<u64, u64> = BTreeMap::new();
-        for (_, r) in offer.iter() {
+        for r in capacities {
             *by_cap.entry(r).or_insert(0) += 1;
         }
         CapacityProfile::from_groups(by_cap.into_iter().collect())

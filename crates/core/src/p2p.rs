@@ -23,7 +23,7 @@
 //! precisely that suboptimal-but-stable outcome, and
 //! [`P2pOutcome::efficiency_loss`] quantifies the gap.
 
-use crate::allocation::{realize_assignment, solve, SolveError};
+use crate::allocation::{realize_usage, solve, SolveError};
 use crate::experiment::{Demand, DemandComponent};
 use crate::facility::{coalition_profile, Facility};
 use crate::location::{CapacityProfile, LocationOffer};
@@ -151,9 +151,9 @@ pub fn p2p_allocate(facilities: &[Facility], demands: &[Demand]) -> Result<P2pOu
             .first()
             .map_or(1, |c| c.class.resources_per_location);
         let scaled = scale_offer(&f.offer, r);
-        if let Some(assignment) = realize_assignment(&scaled, &sizes) {
-            for ((loc, cap), &(loc2, used)) in scaled.iter().zip(&assignment.usage) {
-                debug_assert_eq!(loc, loc2);
+        let capacities: Vec<u64> = scaled.iter().map(|(_, cap)| cap).collect();
+        if let Some(usage) = realize_usage(&capacities, &sizes) {
+            for ((loc, cap), used) in scaled.iter().zip(usage) {
                 if cap > used {
                     residual_offer.add(loc, (cap - used) * r);
                 }

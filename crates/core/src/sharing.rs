@@ -4,10 +4,10 @@
 //! `Σ sᵢ = 1` (or all zeros for a valueless federation); monetary payoffs
 //! are `vᵢ = sᵢ·V(N)`.
 
-use crate::allocation::{realize_assignment, solve};
+use crate::allocation::{realize_usage, solve};
 use crate::experiment::Demand;
-use crate::facility::Facility;
-use crate::location::{CapacityProfile, LocationOffer};
+use crate::facility::{offers_by_location, Facility};
+use crate::location::CapacityProfile;
 use crate::value::FederationGame;
 use fedval_coalition::{nucleolus, shapley, shapley_parallel, CoalitionalGame, TableGame};
 
@@ -89,6 +89,10 @@ pub fn nucleolus_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
 /// attribute each location's usage to facilities in proportion to the
 /// capacity they contribute there.
 ///
+/// One walk over [`offers_by_location`] yields the merged (then scaled)
+/// capacity of every location, in location order, and the facilities
+/// sharing it, so the attribution needs no per-facility lookup.
+///
 /// Returns all zeros when nothing is consumed.
 pub fn consumption_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
     // Uniform resources-per-location across classes is required by the
@@ -98,24 +102,22 @@ pub fn consumption_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> 
         .first()
         .map_or(1, |c| c.class.resources_per_location);
 
-    let merged = LocationOffer::merge(facilities.iter().map(|f| &f.offer));
-    let scaled_offer = if r == 1 {
-        merged.clone()
-    } else {
-        let mut o = LocationOffer::new();
-        for (l, c) in merged.iter() {
-            if c / r > 0 {
-                o.add(l, c / r);
-            }
-        }
-        o
+    let entries = offers_by_location(facilities);
+    // Locations with at least one scaled slot, in location order: their
+    // entries and merged capacity.
+    let served = || {
+        entries
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| (group, group.iter().map(|&(_, _, cap)| cap).sum::<u64>()))
+            .filter(|&(_, total)| total / r > 0)
     };
-    let profile = CapacityProfile::from_offer(&scaled_offer);
+    let scaled: Vec<u64> = served().map(|(_, total)| total / r).collect();
+    let profile = CapacityProfile::from_capacities(scaled.iter().copied());
     let Ok(solution) = solve(&profile, demand) else {
         return vec![0.0; facilities.len()];
     };
     let sizes: Vec<u64> = solution.sizes_desc().iter().map(|&(_, s)| s).collect();
-    let Some(assignment) = realize_assignment(&scaled_offer, &sizes) else {
+    let Some(usage) = realize_usage(&scaled, &sizes) else {
         return vec![0.0; facilities.len()];
     };
 
@@ -123,16 +125,13 @@ pub fn consumption_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> 
     // usage_l · R_{il} / Σ_j R_{jl} (in experiment units; the common factor
     // r cancels in the normalized shares).
     let mut consumed = vec![0.0; facilities.len()];
-    for &(loc, used) in &assignment.usage {
+    for ((group, total), used) in served().zip(usage) {
         if used == 0 {
             continue;
         }
-        let total_cap = merged.capacity_at(loc) as f64;
-        for (i, f) in facilities.iter().enumerate() {
-            let cap = f.offer.capacity_at(loc) as f64;
-            if cap > 0.0 {
-                consumed[i] += used as f64 * cap / total_cap;
-            }
+        let total_cap = total as f64;
+        for &(_, i, cap) in group {
+            consumed[i] += used as f64 * cap as f64 / total_cap;
         }
     }
     normalized(consumed)
@@ -236,5 +235,110 @@ mod tests {
         let rho = consumption_shares(&facilities, &demand);
         assert_close(rho[0], 0.5);
         assert_close(rho[1], 0.5);
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::allocation::feasibility::realize_assignment;
+    use crate::experiment::{ExperimentClass, Volume};
+    use crate::location::LocationOffer;
+    use proptest::prelude::*;
+
+    /// The attribution that [`consumption_shares`] replaced: a merged
+    /// offer, the per-experiment greedy, and a capacity lookup per
+    /// facility and location.
+    fn consumption_shares_reference(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
+        // Uniform resources-per-location across classes is required by the
+        // optimizer; scale capacities accordingly for realization.
+        let r = demand
+            .components
+            .first()
+            .map_or(1, |c| c.class.resources_per_location);
+
+        let merged = LocationOffer::merge(facilities.iter().map(|f| &f.offer));
+        let scaled_offer = if r == 1 {
+            merged.clone()
+        } else {
+            let mut o = LocationOffer::new();
+            for (l, c) in merged.iter() {
+                if c / r > 0 {
+                    o.add(l, c / r);
+                }
+            }
+            o
+        };
+        let profile = CapacityProfile::from_offer(&scaled_offer);
+        let Ok(solution) = solve(&profile, demand) else {
+            return vec![0.0; facilities.len()];
+        };
+        let sizes: Vec<u64> = solution.sizes_desc().iter().map(|&(_, s)| s).collect();
+        let Some(assignment) = realize_assignment(&scaled_offer, &sizes) else {
+            return vec![0.0; facilities.len()];
+        };
+
+        // Attribute usage: facility i's consumption at location l is
+        // usage_l · R_{il} / Σ_j R_{jl} (in experiment units; the common factor
+        // r cancels in the normalized shares).
+        let mut consumed = vec![0.0; facilities.len()];
+        for &(loc, used) in &assignment.usage {
+            if used == 0 {
+                continue;
+            }
+            let total_cap = merged.capacity_at(loc) as f64;
+            for (i, f) in facilities.iter().enumerate() {
+                let cap = f.offer.capacity_at(loc) as f64;
+                if cap > 0.0 {
+                    consumed[i] += used as f64 * cap / total_cap;
+                }
+            }
+        }
+        normalized(consumed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The sorted-entry walk attributes every location's usage exactly
+        /// as the lookup version does, bit for bit: 2–4 facilities with
+        /// overlapping scattered offers, r ∈ {1, 2, 4}, one class or a
+        /// two-class mixture.
+        #[test]
+        fn consumption_shares_match_lookup_reference(
+            offers in prop::collection::vec(
+                prop::collection::vec((0u32..60, 1u64..=8), 1..=40),
+                2..=4,
+            ),
+            r_pick in 0usize..3,
+            threshold in 0u64..=30,
+            count in 1u64..=40,
+            mixture in prop::bool::ANY,
+        ) {
+            let r = [1u64, 2, 4][r_pick];
+            let facilities: Vec<Facility> = offers
+                .iter()
+                .enumerate()
+                .map(|(i, entries)| {
+                    let mut offer = LocationOffer::new();
+                    for &(id, cap) in entries {
+                        offer.add(id, cap);
+                    }
+                    Facility::new(format!("f{i}"), offer)
+                })
+                .collect();
+            let class = |name: &str, l: u64| {
+                ExperimentClass::simple(name, l as f64, 1.0).with_resources(r)
+            };
+            let demand = if mixture {
+                Demand::mixture(class("a", 0), class("b", threshold), count, 0.5)
+            } else {
+                Demand::single(class("e", threshold), Volume::Count(count))
+            };
+            let got = consumption_shares(&facilities, &demand);
+            let want = consumption_shares_reference(&facilities, &demand);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?}", got, want);
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! facility contributes to winning bundles — the "implicit sharing
 //! through the market" the paper contrasts with Shapley sharing.
 
-use fedval_core::allocation::{is_realizable, realize_assignment};
-use fedval_core::{coalition_profile, Facility, LocationOffer};
+use fedval_core::allocation::{is_realizable, realize_usage};
+use fedval_core::{coalition_profile, offers_by_location, Facility};
 use serde::{Deserialize, Serialize};
 
 /// One sealed bid for a diversity bundle.
@@ -81,7 +81,6 @@ impl AuctionOutcome {
 /// Runs the greedy combinatorial auction.
 pub fn run_combinatorial_auction(facilities: &[Facility], bids: &[Bid]) -> AuctionOutcome {
     let profile = coalition_profile(facilities);
-    let merged = LocationOffer::merge(facilities.iter().map(|f| &f.offer));
 
     // Greedy admission by density, ties broken by input order.
     let mut order: Vec<usize> = (0..bids.len()).collect();
@@ -109,22 +108,26 @@ pub fn run_combinatorial_auction(facilities: &[Facility], bids: &[Bid]) -> Aucti
     // For simplicity (and because winners' slots are homogeneous here) we
     // attribute the pooled revenue pro-rata to slots used per facility.
     let mut facility_revenue = vec![0.0; facilities.len()];
-    let sorted_sizes = sizes;
-    if !sorted_sizes.is_empty() {
-        if let Some(assignment) = realize_assignment(&merged, &sorted_sizes) {
-            let slots_used: u64 = assignment.usage.iter().map(|&(_, u)| u).sum();
+    if !sizes.is_empty() {
+        let entries = offers_by_location(facilities);
+        // Every offered location in order: its entries and merged capacity.
+        let locations = || {
+            entries
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|group| (group, group.iter().map(|&(_, _, cap)| cap).sum::<u64>()))
+        };
+        let merged: Vec<u64> = locations().map(|(_, total)| total).collect();
+        if let Some(usage) = realize_usage(&merged, &sizes) {
+            let slots_used: u64 = usage.iter().sum();
             if slots_used > 0 {
                 let per_slot = revenue / slots_used as f64;
-                for &(loc, used) in &assignment.usage {
+                for ((group, total), used) in locations().zip(usage) {
                     if used == 0 {
                         continue;
                     }
-                    let total_cap = merged.capacity_at(loc) as f64;
-                    for (i, f) in facilities.iter().enumerate() {
-                        let cap = f.offer.capacity_at(loc) as f64;
-                        if cap > 0.0 {
-                            facility_revenue[i] += used as f64 * per_slot * cap / total_cap;
-                        }
+                    let total_cap = total as f64;
+                    for &(_, i, cap) in group {
+                        facility_revenue[i] += used as f64 * per_slot * cap as f64 / total_cap;
                     }
                 }
             }
