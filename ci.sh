@@ -65,28 +65,39 @@ if ! diff -r "$sweep_tmp/t1" "$sweep_tmp/t4"; then
     exit 1
 fi
 
-echo "== trace thread-invariance (fedval report --trace at --threads 1 vs 4)"
+echo "== trace thread-invariance (fedval report/shares --trace at --threads 1 vs 4)"
 # Outputs are diffed above; traces must not depend on the thread count
 # either. Each run's multiset of span names (durations and ids vary) must
-# match: exact Shapley opens one span name at any thread count.
+# match: exact Shapley opens one span name at any thread count. Stdout
+# must match too: `shares --synthetic 14` drives the exact runner's
+# worker pool (16 384 coalitions), the stratified run the sampled
+# runner's.
 trace_tmp=$(mktemp -d)
 trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}"' EXIT
 span_names() {
     sed -n 's/.*"type":"span_start"[^}]*"name":"\([^"]*\)".*/\1/p' "$1" | sort
 }
-for args in "" "--synthetic 200"; do
+for args in "report" "report --synthetic 200" "shares --synthetic 14" \
+            "shares --synthetic 12 --approx --approx-method stratified"; do
     for t in 1 4; do
         # shellcheck disable=SC2086
-        ./target/release/fedval report $args --threads "$t" \
-            --trace "$trace_tmp/t$t.jsonl" > /dev/null
+        ./target/release/fedval $args --threads "$t" \
+            --trace "$trace_tmp/t$t.jsonl" > "$trace_tmp/out$t.txt"
         span_names "$trace_tmp/t$t.jsonl" > "$trace_tmp/names$t.txt"
     done
     if [ ! -s "$trace_tmp/names1.txt" ] \
        || ! diff "$trace_tmp/names1.txt" "$trace_tmp/names4.txt"; then
         echo ""
-        echo "ci.sh: fedval report ${args:-(worked example)} traces different span"
-        echo "names at --threads 1 and --threads 4 (or none at all). A span name"
-        echo "that depends on the thread count makes traces depend on the host."
+        echo "ci.sh: fedval $args traces different span names at --threads 1"
+        echo "and --threads 4 (or none at all). A span name that depends on"
+        echo "the thread count makes traces depend on the host."
+        exit 1
+    fi
+    if ! diff "$trace_tmp/out1.txt" "$trace_tmp/out4.txt"; then
+        echo ""
+        echo "ci.sh: fedval $args prints different output at --threads 1 and"
+        echo "--threads 4. The Shapley worker pool must hand every slot the"
+        echo "same inputs at any thread count."
         exit 1
     fi
 done

@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedval_coalition::{
-    least_core, nucleolus, shapley, shapley_monte_carlo, shapley_parallel, Coalition, TableGame,
+    least_core, nucleolus, shapley, shapley_parallel, try_approx_shapley_wide, ApproxConfig,
+    AsWide, Coalition, TableGame,
 };
 use fedval_core::allocation::{solve, solve_exact, solve_greedy, GreedyPolicy};
 use fedval_core::{paper_facilities, CapacityProfile, Demand, ExperimentClass, Volume};
@@ -42,7 +43,13 @@ fn bench_shapley(c: &mut Criterion) {
             b.iter(|| black_box(shapley_parallel(g, 4)))
         });
         group.bench_with_input(BenchmarkId::new("monte_carlo_1k", n), &game, |b, g| {
-            b.iter(|| black_box(shapley_monte_carlo(g, 1000, 7)))
+            let cfg = ApproxConfig {
+                samples: 1000,
+                seed: 7,
+                force: true,
+                ..ApproxConfig::default()
+            };
+            b.iter(|| black_box(try_approx_shapley_wide(&AsWide(g), &cfg)))
         });
     }
     group.finish();

@@ -13,9 +13,12 @@
 //!   at a configurable level, plus the sample budget and seed that produced
 //!   it (the certificate, in the sense of arXiv:1709.04176 *"Computing the
 //!   Shapley Value in Allocation Problems: Approximations and Bounds"*).
-//! * [`shapley_auto`] / [`shapley_auto_wide`] — the solver-selection layer:
-//!   exact enumeration below [`EXACT_SHAPLEY_MAX_PLAYERS`], seeded sampling
-//!   above it (or always, under [`ApproxConfig::force`]).
+//! * [`try_approx_shapley_wide`] — one sampled runner, dispatching on
+//!   [`ApproxMethod`] (permutation or stratified).
+//! * [`shapley_auto_wide`] — the solver-selection layer: one rule,
+//!   [`ApproxConfig::samples_at`], picks the exact runner
+//!   ([`shapley_parallel`]) or the sampled one. Bitset games enter through
+//!   [`AsWide`].
 //!
 //! # Determinism contract
 //!
@@ -43,7 +46,7 @@
 use crate::coalition::{Coalition, PlayerId};
 use crate::error::GameError;
 use crate::game::CoalitionalGame;
-use crate::shapley::{normalize, shapley_parallel};
+use crate::shapley::{for_each_slot, normalize, shapley_parallel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -212,6 +215,15 @@ impl ApproxConfig {
         z_for_confidence(self.confidence)?;
         Ok(())
     }
+
+    /// Whether an `n`-player game is answered by sampling rather than
+    /// exact enumeration: past [`EXACT_SHAPLEY_MAX_PLAYERS`], or always
+    /// under [`ApproxConfig::force`]. The one exact-or-sampled rule —
+    /// [`shapley_auto_wide`] and every caller that must agree with it
+    /// (CLI, serve) ask this method.
+    pub fn samples_at(&self, n: usize) -> bool {
+        self.force || n > EXACT_SHAPLEY_MAX_PLAYERS
+    }
 }
 
 /// A sampled Shapley estimate with its error certificate.
@@ -273,9 +285,13 @@ impl ApproxShapley {
 /// a certified estimate above it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShapleyEstimate {
-    /// Exact enumeration ran (`n ≤` [`EXACT_SHAPLEY_MAX_PLAYERS`] and not
-    /// forced).
-    Exact(Vec<f64>),
+    /// Exact enumeration ran ([`ApproxConfig::samples_at`] was false).
+    Exact {
+        /// Exact Shapley value per player.
+        phi: Vec<f64>,
+        /// `V(N)` — the normalization denominator.
+        grand_value: f64,
+    },
     /// The sampled estimator ran.
     Approx(ApproxShapley),
 }
@@ -284,9 +300,23 @@ impl ShapleyEstimate {
     /// The (estimated or exact) Shapley values.
     pub fn phi(&self) -> &[f64] {
         match self {
-            ShapleyEstimate::Exact(phi) => phi,
+            ShapleyEstimate::Exact { phi, .. } => phi,
             ShapleyEstimate::Approx(a) => &a.phi,
         }
+    }
+
+    /// `V(N)`, the value the shares divide.
+    pub fn grand_value(&self) -> f64 {
+        match self {
+            ShapleyEstimate::Exact { grand_value, .. } => *grand_value,
+            ShapleyEstimate::Approx(a) => a.grand_value,
+        }
+    }
+
+    /// Normalized sharing weights ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5 of the paper);
+    /// all zeros when `V(N) ≈ 0`.
+    pub fn shares(&self) -> Vec<f64> {
+        normalize(self.phi().to_vec(), self.grand_value())
     }
 
     /// Whether this is a sampled estimate.
@@ -298,7 +328,7 @@ impl ShapleyEstimate {
     pub fn as_approx(&self) -> Option<&ApproxShapley> {
         match self {
             ShapleyEstimate::Approx(a) => Some(a),
-            ShapleyEstimate::Exact(_) => None,
+            ShapleyEstimate::Exact { .. } => None,
         }
     }
 }
@@ -473,25 +503,9 @@ fn permutation_estimate<G: WideGame + ?Sized>(
             PERMUTATION_BLOCK
         }
     };
-    let outcome = crossbeam::thread::scope(|scope| {
-        let per = blocks.div_ceil(threads);
-        let mut base = 0usize;
-        for chunk in partials.chunks_mut(per) {
-            let start = base;
-            base += chunk.len();
-            scope.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let b = start + k;
-                    permutation_block(game, n, cfg.seed, b, count_of(b), &mut slot.0, &mut slot.1);
-                }
-            });
-        }
+    for_each_slot(&mut partials, threads, |b, slot| {
+        permutation_block(game, n, cfg.seed, b, count_of(b), &mut slot.0, &mut slot.1);
     });
-    if let Err(payload) = outcome {
-        // A worker panicked (characteristic function blew up): propagate
-        // the original panic rather than masking it with a new one.
-        std::panic::resume_unwind(payload);
-    }
 
     let mut sum = vec![0.0; n];
     let mut sum_sq = vec![0.0; n];
@@ -589,22 +603,9 @@ fn stratified_estimate<G: WideGame + ?Sized>(
         )
     });
     let mut results = vec![(0.0f64, 0.0f64); n];
-    let outcome = crossbeam::thread::scope(|scope| {
-        let per = n.div_ceil(threads);
-        let mut base = 0usize;
-        for chunk in results.chunks_mut(per) {
-            let start = base;
-            base += chunk.len();
-            scope.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = stratified_player(game, n, start + k, samples, cfg.seed);
-                }
-            });
-        }
+    for_each_slot(&mut results, threads, |i, slot| {
+        *slot = stratified_player(game, n, i, samples, cfg.seed);
     });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
-    }
     let std_error: Vec<f64> = results
         .iter()
         .map(|&(_, var)| {
@@ -659,21 +660,10 @@ pub fn try_approx_shapley_wide<G: WideGame + ?Sized>(
     })
 }
 
-/// [`try_approx_shapley_wide`] for bitset games (`n ≤ 64`), e.g. through a
-/// memoizing [`CachedGame`](crate::CachedGame).
-///
-/// # Errors
-/// As [`try_approx_shapley_wide`].
-pub fn try_approx_shapley<G: CoalitionalGame>(
-    game: &G,
-    cfg: &ApproxConfig,
-) -> Result<ApproxShapley, GameError> {
-    try_approx_shapley_wide(&AsWide(game), cfg)
-}
-
-/// The solver-selection layer over a [`WideGame`]: exact enumeration when
-/// `n ≤` [`EXACT_SHAPLEY_MAX_PLAYERS`] (and [`ApproxConfig::force`] is
-/// unset), the sampled estimator otherwise.
+/// The solver-selection layer: the exact runner unless
+/// [`ApproxConfig::samples_at`] says to sample, the sampled estimator
+/// otherwise. Bitset games (e.g. a memoizing
+/// [`CachedGame`](crate::CachedGame)) enter through [`AsWide`].
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`] /
@@ -688,27 +678,16 @@ pub fn shapley_auto_wide<G: WideGame + ?Sized>(
         return Err(GameError::NoPlayers);
     }
     cfg.validate()?;
-    if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
+    if !cfg.samples_at(n) {
         fedval_obs::counter_add("coalition.approx.exact_selected", 1);
-        return Ok(ShapleyEstimate::Exact(shapley_parallel(
-            &AsBitset(game),
-            cfg.threads,
-        )));
+        let game = AsBitset(game);
+        return Ok(ShapleyEstimate::Exact {
+            phi: shapley_parallel(&game, cfg.threads),
+            grand_value: game.grand_value(),
+        });
     }
     fedval_obs::counter_add("coalition.approx.sampled_selected", 1);
     Ok(ShapleyEstimate::Approx(try_approx_shapley_wide(game, cfg)?))
-}
-
-/// The solver-selection layer for bitset games: exact below the cap,
-/// sampled above it (or always, under [`ApproxConfig::force`]).
-///
-/// # Errors
-/// As [`shapley_auto_wide`].
-pub fn shapley_auto<G: CoalitionalGame>(
-    game: &G,
-    cfg: &ApproxConfig,
-) -> Result<ShapleyEstimate, GameError> {
-    shapley_auto_wide(&AsWide(game), cfg)
 }
 
 #[cfg(test)]
@@ -783,7 +762,7 @@ mod tests {
             force: true,
             ..ApproxConfig::default()
         };
-        let est = try_approx_shapley(&g, &cfg).unwrap();
+        let est = try_approx_shapley_wide(&AsWide(&g), &cfg).unwrap();
         for i in 0..6 {
             let tol = 5.0 * est.std_error[i] + 1e-9;
             assert!(
@@ -811,7 +790,7 @@ mod tests {
             force: true,
             ..ApproxConfig::default()
         };
-        let est = try_approx_shapley(&g, &cfg).unwrap();
+        let est = try_approx_shapley_wide(&AsWide(&g), &cfg).unwrap();
         for i in 0..6 {
             let tol = 6.0 * est.std_error[i] + 1e-9;
             assert!(
@@ -837,7 +816,7 @@ mod tests {
                     force: true,
                     ..ApproxConfig::default()
                 };
-                let est = try_approx_shapley(&g, &cfg).unwrap();
+                let est = try_approx_shapley_wide(&AsWide(&g), &cfg).unwrap();
                 match &baseline {
                     None => baseline = Some(est),
                     Some(b) => {
@@ -862,16 +841,16 @@ mod tests {
     fn auto_selects_exact_below_cap_and_sampling_above() {
         let g = threshold_game();
         let cfg = ApproxConfig::default();
-        match shapley_auto(&g, &cfg).unwrap() {
-            ShapleyEstimate::Exact(phi) => {
-                let exact = shapley(&g);
-                assert_eq!(phi, exact);
+        match shapley_auto_wide(&AsWide(&g), &cfg).unwrap() {
+            ShapleyEstimate::Exact { phi, grand_value } => {
+                assert_eq!(phi, shapley(&g));
+                assert_eq!(grand_value.to_bits(), g.grand_value().to_bits());
             }
             ShapleyEstimate::Approx(_) => panic!("n=6 must select exact"),
         }
         // force flips the selection.
-        let forced = shapley_auto(
-            &g,
+        let forced = shapley_auto_wide(
+            &AsWide(&g),
             &ApproxConfig {
                 force: true,
                 ..cfg
@@ -889,6 +868,71 @@ mod tests {
             assert!((phi - (i + 1) as f64).abs() < 1e-9, "player {i}: {phi}");
             assert!(approx.ci_half_width[i] < 1e-9);
         }
+    }
+
+    #[test]
+    fn samples_at_is_the_rule_shapley_auto_wide_applies() {
+        for force in [false, true] {
+            for n in [1usize, 16, 17, 200] {
+                let cfg = ApproxConfig {
+                    samples: 4,
+                    force,
+                    ..ApproxConfig::default()
+                };
+                let est = shapley_auto_wide(&WideAdditive(n), &cfg).unwrap();
+                assert_eq!(est.is_approx(), cfg.samples_at(n), "force={force} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn stratified_is_exact_on_additive_games_with_one_sample() {
+        // Additive game: the marginal is constant per player, so a single
+        // sample per stratum is already exact with zero variance.
+        let a = [2.0, 4.0, 8.0];
+        let g = FnGame::new(3, move |c: Coalition| {
+            c.players().map(|p| a[p]).sum::<f64>()
+        });
+        let cfg = ApproxConfig {
+            samples: 1,
+            seed: 5,
+            method: ApproxMethod::Stratified,
+            force: true,
+            ..ApproxConfig::default()
+        };
+        let est = try_approx_shapley_wide(&AsWide(&g), &cfg).unwrap();
+        for (i, &ai) in a.iter().enumerate() {
+            assert!((est.phi[i] - ai).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn stratified_reduces_variance_vs_permutation_sampling() {
+        // Same total budget: stratified (n² · s marginals) vs permutation
+        // (perms · n marginals) on a strongly position-dependent game.
+        let g = threshold_game();
+        let n = 6;
+        let s = 100;
+        let budget_evals = n * n * s; // stratified cost
+        let perms = budget_evals / n; // permutation cost match
+        let run = |method, samples| {
+            let cfg = ApproxConfig {
+                samples,
+                seed: 21,
+                method,
+                force: true,
+                ..ApproxConfig::default()
+            };
+            try_approx_shapley_wide(&AsWide(&g), &cfg).unwrap()
+        };
+        let strat = run(ApproxMethod::Stratified, s);
+        let plain = run(ApproxMethod::Permutation, perms);
+        let strat_err: f64 = strat.std_error.iter().sum();
+        let plain_err: f64 = plain.std_error.iter().sum();
+        assert!(
+            strat_err <= plain_err * 1.1,
+            "stratified {strat_err} vs permutation {plain_err}"
+        );
     }
 
     #[test]
@@ -911,12 +955,12 @@ mod tests {
     fn malformed_configs_are_typed_errors() {
         let g = threshold_game();
         assert!(matches!(
-            try_approx_shapley(&g, &ApproxConfig { samples: 0, ..ApproxConfig::default() }),
+            try_approx_shapley_wide(&AsWide(&g), &ApproxConfig { samples: 0, ..ApproxConfig::default() }),
             Err(GameError::NoSamples { .. })
         ));
         assert!(matches!(
-            try_approx_shapley(
-                &g,
+            try_approx_shapley_wide(
+                &AsWide(&g),
                 &ApproxConfig {
                     confidence: 1.5,
                     ..ApproxConfig::default()
@@ -939,8 +983,8 @@ mod tests {
     #[test]
     fn wider_budget_tightens_the_interval() {
         let g = threshold_game();
-        let narrow = try_approx_shapley(
-            &g,
+        let narrow = try_approx_shapley_wide(
+            &AsWide(&g),
             &ApproxConfig {
                 samples: 32,
                 seed: 5,
@@ -949,8 +993,8 @@ mod tests {
             },
         )
         .unwrap();
-        let wide = try_approx_shapley(
-            &g,
+        let wide = try_approx_shapley_wide(
+            &AsWide(&g),
             &ApproxConfig {
                 samples: 2048,
                 seed: 5,
@@ -1025,7 +1069,7 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let est = try_approx_shapley(&g, &cfg).expect("valid config");
+            let est = try_approx_shapley_wide(&AsWide(&g), &cfg).expect("valid config");
             let mut sum_sq = 0.0;
             for i in 0..n {
                 let err = (est.phi[i] - exact[i]).abs();
@@ -1061,8 +1105,8 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let a = try_approx_shapley(&g, &base).expect("valid config");
-            let b = try_approx_shapley(&g, &ApproxConfig { threads, ..base })
+            let a = try_approx_shapley_wide(&AsWide(&g), &base).expect("valid config");
+            let b = try_approx_shapley_wide(&AsWide(&g), &ApproxConfig { threads, ..base })
                 .expect("valid config");
             for i in 0..a.phi.len() {
                 prop_assert_eq!(a.phi[i].to_bits(), b.phi[i].to_bits());
@@ -1088,7 +1132,7 @@ mod proptests {
                 force: true,
                 ..ApproxConfig::default()
             };
-            let est = try_approx_shapley(&g, &cfg).expect("valid config");
+            let est = try_approx_shapley_wide(&AsWide(&g), &cfg).expect("valid config");
             let total: f64 = est.phi.iter().sum();
             let scale = est.grand_value.abs().max(1.0);
             prop_assert!(

@@ -13,47 +13,25 @@
 //! which is exactly why the paper's profit-sharing use case prefers Shapley.
 
 use crate::coalition::Coalition;
-use crate::error::GameError;
 use crate::game::CoalitionalGame;
-
-/// Raw Banzhaf value of one player.
-///
-/// # Panics
-/// Panics when `i ≥ n`; [`try_banzhaf_player`] reports that as a typed
-/// error instead.
-pub fn banzhaf_player<G: CoalitionalGame>(game: &G, i: usize) -> f64 {
-    match try_banzhaf_player(game, i) {
-        Ok(b) => b,
-        // lint: allow(no-panic-path) — documented legacy wrapper; fallible
-        // callers use try_banzhaf_player.
-        Err(e) => panic!("banzhaf_player: {e}"),
-    }
-}
-
-/// Raw Banzhaf value of one player, reporting a bad player index as
-/// [`GameError::PlayerOutOfRange`] instead of panicking.
-///
-/// # Errors
-/// [`GameError::PlayerOutOfRange`] when `i ≥ n` (including the `n = 0`
-/// case, where every index is out of range).
-pub fn try_banzhaf_player<G: CoalitionalGame>(game: &G, i: usize) -> Result<f64, GameError> {
-    let n = game.n_players();
-    if i >= n {
-        return Err(GameError::PlayerOutOfRange { player: i, n });
-    }
-    let others = Coalition::grand(n).without(i);
-    let mut total = 0.0;
-    for s in others.subsets() {
-        total += game.marginal(i, s);
-    }
-    Ok(total / (1u64 << (n - 1)) as f64)
-}
 
 /// Raw Banzhaf values of all players.
 pub fn banzhaf<G: CoalitionalGame>(game: &G) -> Vec<f64> {
     (0..game.n_players())
         .map(|i| banzhaf_player(game, i))
         .collect()
+}
+
+/// Raw Banzhaf value of player `i < n`: the mean of its `2^(n−1)`
+/// marginals.
+fn banzhaf_player<G: CoalitionalGame>(game: &G, i: usize) -> f64 {
+    let n = game.n_players();
+    let others = Coalition::grand(n).without(i);
+    let mut total = 0.0;
+    for s in others.subsets() {
+        total += game.marginal(i, s);
+    }
+    total / (1u64 << (n - 1)) as f64
 }
 
 /// Banzhaf values rescaled to sum to one (the *normalized* Banzhaf index),

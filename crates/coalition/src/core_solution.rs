@@ -74,7 +74,7 @@ pub fn least_core<G: CoalitionalGame>(game: &G) -> LeastCore {
 /// Largest player count the least-core (and balancedness) LP formulations
 /// enumerate: the LP has `2^n − 2` rows, so 16 players already means 65534
 /// constraints. Above this cap use the sampled Shapley estimators
-/// ([`crate::shapley_auto`]) — core membership has no sampled analogue here.
+/// ([`crate::shapley_auto_wide`]) — core membership has no sampled analogue here.
 pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 
 /// Solves the least-core LP, reporting failures as [`GameError`] instead of

@@ -34,7 +34,7 @@ pub enum GameError {
     /// | exact Shapley auto-selection | [`EXACT_SHAPLEY_MAX_PLAYERS`](crate::EXACT_SHAPLEY_MAX_PLAYERS) = 16 | `n · 2^(n−1)` evaluations |
     ///
     /// Shapley values have no such wall: the sampled estimators
-    /// ([`shapley_auto`](crate::shapley_auto) and friends in
+    /// ([`shapley_auto_wide`](crate::shapley_auto_wide) in
     /// [`approx`](crate::approx)) answer with certified confidence
     /// intervals at any `n`.
     TooManyPlayers {
@@ -49,13 +49,6 @@ pub enum GameError {
     NoSamples {
         /// Which estimator rejected the budget.
         solver: &'static str,
-    },
-    /// A player index is not in `0..n`.
-    PlayerOutOfRange {
-        /// The offending index.
-        player: usize,
-        /// Players in the game.
-        n: usize,
     },
     /// A confidence level outside the open interval (0, 1) was requested.
     BadConfidence {
@@ -93,15 +86,12 @@ impl fmt::Display for GameError {
                 write!(
                     f,
                     "{solver}: game has {n} players but exact enumeration supports at most \
-                     {max}; use the sampled Shapley estimator (shapley_auto / --approx) for \
+                     {max}; use the sampled Shapley estimator (shapley_auto_wide / --approx) for \
                      larger federations"
                 )
             }
             GameError::NoSamples { solver } => {
                 write!(f, "{solver}: sample budget must be at least 1")
-            }
-            GameError::PlayerOutOfRange { player, n } => {
-                write!(f, "player {player} out of range for a {n}-player game")
             }
             GameError::BadConfidence { value } => {
                 write!(

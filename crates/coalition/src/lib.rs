@@ -45,18 +45,16 @@ mod nucleolus;
 mod owen;
 mod properties;
 mod shapley;
-mod stratified;
 mod tau;
 mod weighted;
 
 pub use approx::{
-    derive_seed, hoeffding_epsilon, hoeffding_samples, shapley_auto, shapley_auto_wide,
-    try_approx_shapley, try_approx_shapley_wide, z_for_confidence, ApproxConfig, ApproxMethod,
-    ApproxShapley, AsWide, ShapleyEstimate, WideGame, EXACT_SHAPLEY_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS,
+    derive_seed, hoeffding_epsilon, hoeffding_samples, shapley_auto_wide,
+    try_approx_shapley_wide, z_for_confidence, ApproxConfig, ApproxMethod, ApproxShapley, AsWide,
+    ShapleyEstimate, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
 pub use balancedness::{balancedness, is_balanced, try_balancedness, Balancedness};
-pub use banzhaf::{banzhaf, banzhaf_normalized, banzhaf_player, try_banzhaf_player};
+pub use banzhaf::{banzhaf, banzhaf_normalized};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};
 pub use core_solution::{
     excess, is_core_nonempty, is_in_core, is_in_epsilon_core, least_core, try_least_core,
@@ -74,10 +72,6 @@ pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,
 };
-pub use shapley::{
-    shapley, shapley_monte_carlo, shapley_normalized, shapley_parallel, shapley_player,
-    try_shapley_monte_carlo, try_shapley_player, MonteCarloShapley,
-};
-pub use stratified::{shapley_stratified, try_shapley_stratified, StratifiedShapley};
+pub use shapley::{shapley, shapley_normalized, shapley_parallel};
 pub use tau::{minimal_rights, tau_value, utopia_payoffs};
 pub use weighted::{weighted_shapley, weighted_shapley_normalized};

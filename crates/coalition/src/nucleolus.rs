@@ -50,7 +50,7 @@ const SPAN_TOL: f64 = 1e-9;
 /// `n` stages solves an LP over the `2^n − 2` proper coalitions, so the cap
 /// sits lower than the single-shot least-core's
 /// [`LEAST_CORE_MAX_PLAYERS`](crate::core_solution::LEAST_CORE_MAX_PLAYERS).
-/// Above it, use the sampled Shapley estimators ([`crate::shapley_auto`])
+/// Above it, use the sampled Shapley estimators ([`crate::shapley_auto_wide`])
 /// for sharing weights.
 pub const NUCLEOLUS_MAX_PLAYERS: usize = 12;
 

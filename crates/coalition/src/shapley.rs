@@ -1,5 +1,4 @@
-//! The Shapley value (eq. 4 of the paper) — exact, parallel, and
-//! Monte-Carlo estimators.
+//! The Shapley value (eq. 4 of the paper) — the exact runner.
 //!
 //! The Shapley value of player `i` is the expected marginal contribution of
 //! `i` over a uniformly random ordering of the players:
@@ -9,70 +8,30 @@
 //! ```
 //!
 //! The paper uses ϕ and its normalization ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5) as the
-//! profit-sharing weights `sᵢ`.
+//! profit-sharing weights `sᵢ`. Past the `2^n` wall the sampled estimators
+//! in [`approx`](crate::approx) take over.
 
 use crate::coalition::{Coalition, PlayerId};
-use crate::error::GameError;
 use crate::game::CoalitionalGame;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-/// Exact Shapley value of a single player, by the subset-sum formula.
-///
-/// Runs in `O(2^(n−1))` evaluations of the characteristic function. The
-/// combinatorial weight `|S|!·(n−1−|S|)!/n!` is computed as
-/// `1 / (n · C(n−1, |S|))`, which stays in `f64` range for any `n ≤ 64`.
-///
-/// # Panics
-/// Panics when `i ≥ n`; [`try_shapley_player`] reports that as a typed
-/// error instead.
-pub fn shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> f64 {
-    match try_shapley_player(game, i) {
-        Ok(phi) => phi,
-        // lint: allow(no-panic-path) — documented legacy wrapper; fallible
-        // callers use try_shapley_player.
-        Err(e) => panic!("shapley_player: {e}"),
-    }
-}
-
-/// Exact Shapley value of a single player, reporting a bad player index as
-/// [`GameError::PlayerOutOfRange`] instead of panicking.
-///
-/// # Errors
-/// [`GameError::PlayerOutOfRange`] when `i ≥ n` (including the `n = 0`
-/// case, where every index is out of range).
-pub fn try_shapley_player<G: CoalitionalGame>(game: &G, i: PlayerId) -> Result<f64, GameError> {
-    let n = game.n_players();
-    if i >= n {
-        return Err(GameError::PlayerOutOfRange { player: i, n });
-    }
-    let weights = subset_weights(n);
-    let others = Coalition::grand(n).without(i);
-    let mut phi = 0.0;
-    for s in others.subsets() {
-        phi += weights[s.len()] * game.marginal(i, s);
-    }
-    Ok(phi)
-}
-
-/// Exact Shapley values of all players (sequential).
+/// Exact Shapley values of all players, on the calling thread.
 pub fn shapley<G: CoalitionalGame>(game: &G) -> Vec<f64> {
-    let _span = fedval_obs::span_with("coalition.shapley.exact", || {
-        format!("n={}", game.n_players())
-    });
-    (0..game.n_players())
-        .map(|i| shapley_player(game, i))
-        .collect()
+    let n = game.n_players();
+    let _span = fedval_obs::span_with("coalition.shapley.exact", || format!("n={n}"));
+    let weights = subset_weights(n);
+    (0..n).map(|i| player_sum(game, &weights, i)).collect()
 }
 
-/// Exact Shapley values of all players, with the per-player sums computed
-/// on a crossbeam scoped-thread pool.
+/// Exact Shapley values of all players, with the per-player sums spread
+/// over up to `threads` scoped workers.
 ///
 /// Worth it when `n` is large enough that `2^n` characteristic-function
 /// evaluations dominate, or when the characteristic function itself is
 /// expensive (allocation optimizer, simulation). The characteristic
-/// function must be `Sync`, which [`CoalitionalGame`] requires.
+/// function must be `Sync`, which [`CoalitionalGame`] requires. Each
+/// player's sum runs on exactly one worker in the same order, so the
+/// result is bit-identical at every thread count; a game with no players
+/// yields `[]`.
 pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64> {
     let n = game.n_players();
     let threads = threads.clamp(1, n.max(1));
@@ -81,19 +40,51 @@ pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64
     let _span = fedval_obs::span_with("coalition.shapley.exact", || {
         format!("n={n} threads={threads}")
     });
+    // Every player's sum uses the same weights: compute them once.
+    let weights = subset_weights(n);
     let mut phi = vec![0.0; n];
+    for_each_slot(&mut phi, threads, |i, slot| {
+        *slot = player_sum(game, &weights, i);
+    });
+    phi
+}
+
+/// Player `i`'s subset sum `Σ_{S ⊆ N∖{i}} w(|S|)·[V(S ∪ {i}) − V(S)]`,
+/// over `2^(n−1)` marginals; `weights` comes from [`subset_weights`].
+fn player_sum<G: CoalitionalGame>(game: &G, weights: &[f64], i: PlayerId) -> f64 {
+    let others = Coalition::grand(weights.len()).without(i);
+    let mut phi = 0.0;
+    for s in others.subsets() {
+        phi += weights[s.len()] * game.marginal(i, s);
+    }
+    phi
+}
+
+/// Runs `work(k, &mut slots[k])` for every slot on up to `threads` scoped
+/// workers, each owning one contiguous chunk. Slot `k` always gets index
+/// `k`, so what lands in a slot never depends on the thread count. An
+/// empty slice spawns nothing; a worker's panic is re-raised with its
+/// original payload.
+///
+/// One chunk still gets its own worker rather than running inline. On a
+/// shared 2-vCPU host, running it inline doubled the run-to-run spread
+/// of the n = 200 report-plus-formation timing (middle half of ten runs
+/// 3.4 ms against 1.4 ms): the scheduler places each fresh worker anew,
+/// while a long-lived calling thread keeps the CPU it started on.
+pub(crate) fn for_each_slot<T, F>(slots: &mut [T], threads: usize, work: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let per = slots.len().div_ceil(threads.max(1)).max(1);
+    let work = &work;
     let outcome = crossbeam::thread::scope(|scope| {
-        let chunks: Vec<&mut [f64]> = phi.chunks_mut(n.div_ceil(threads)).collect();
-        let mut start = 0usize;
-        for chunk in chunks {
-            let len = chunk.len();
-            let base = start;
+        for (c, chunk) in slots.chunks_mut(per).enumerate() {
             scope.spawn(move |_| {
                 for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = shapley_player(game, base + k);
+                    work(c * per + k, slot);
                 }
             });
-            start += len;
         }
     });
     if let Err(payload) = outcome {
@@ -101,103 +92,6 @@ pub fn shapley_parallel<G: CoalitionalGame>(game: &G, threads: usize) -> Vec<f64
         // the original panic rather than masking it with a new one.
         std::panic::resume_unwind(payload);
     }
-    phi
-}
-
-/// Result of the Monte-Carlo permutation estimator.
-#[derive(Debug, Clone)]
-pub struct MonteCarloShapley {
-    /// Estimated Shapley value per player.
-    pub phi: Vec<f64>,
-    /// Standard error of the estimate per player.
-    pub std_error: Vec<f64>,
-    /// Number of sampled permutations.
-    pub samples: usize,
-}
-
-/// Monte-Carlo Shapley estimator: samples `samples` uniform player
-/// orderings and averages marginal contributions (the random-order
-/// interpretation of eq. 4).
-///
-/// Each sampled permutation costs `n` characteristic-function evaluations,
-/// so the total cost is `samples · n` — this is the estimator to use when
-/// `2^n` is out of reach. The estimate is unbiased; `std_error` is the
-/// per-player sample standard deviation divided by `√samples`.
-///
-/// # Panics
-/// Panics on an empty game or a zero sample budget;
-/// [`try_shapley_monte_carlo`] reports both as typed errors instead.
-pub fn shapley_monte_carlo<G: CoalitionalGame>(
-    game: &G,
-    samples: usize,
-    seed: u64,
-) -> MonteCarloShapley {
-    match try_shapley_monte_carlo(game, samples, seed) {
-        Ok(mc) => mc,
-        // lint: allow(no-panic-path) — documented legacy wrapper; fallible
-        // callers use try_shapley_monte_carlo.
-        Err(e) => panic!("shapley_monte_carlo: {e}"),
-    }
-}
-
-/// Monte-Carlo Shapley estimator with typed input validation — the entry
-/// point for request-driven callers (a malformed serve request must never
-/// panic a worker).
-///
-/// # Errors
-/// [`GameError::NoPlayers`] for an empty game, [`GameError::NoSamples`]
-/// when `samples == 0`.
-pub fn try_shapley_monte_carlo<G: CoalitionalGame>(
-    game: &G,
-    samples: usize,
-    seed: u64,
-) -> Result<MonteCarloShapley, GameError> {
-    let n = game.n_players();
-    if n == 0 {
-        return Err(GameError::NoPlayers);
-    }
-    if samples == 0 {
-        return Err(GameError::NoSamples {
-            solver: "shapley_monte_carlo",
-        });
-    }
-    let _span = fedval_obs::span_with("coalition.shapley.monte_carlo", || {
-        format!("n={n} samples={samples} seed={seed}")
-    });
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<PlayerId> = (0..n).collect();
-    let mut sum = vec![0.0; n];
-    let mut sum_sq = vec![0.0; n];
-    for _ in 0..samples {
-        order.shuffle(&mut rng);
-        let mut s = Coalition::EMPTY;
-        let mut prev = game.value(s);
-        for &p in &order {
-            s = s.with(p);
-            let cur = game.value(s);
-            let delta = cur - prev;
-            sum[p] += delta;
-            sum_sq[p] += delta * delta;
-            prev = cur;
-        }
-    }
-    let m = samples as f64;
-    let phi: Vec<f64> = sum.iter().map(|s| s / m).collect();
-    let std_error: Vec<f64> = (0..n)
-        .map(|p| {
-            if samples < 2 {
-                f64::INFINITY
-            } else {
-                let var = (sum_sq[p] - sum[p] * sum[p] / m) / (m - 1.0);
-                (var.max(0.0) / m).sqrt()
-            }
-        })
-        .collect();
-    Ok(MonteCarloShapley {
-        phi,
-        std_error,
-        samples,
-    })
 }
 
 /// Normalized Shapley values ϕ̂ᵢ = ϕᵢ / V(N) (eq. 5 of the paper).
@@ -208,6 +102,8 @@ pub fn shapley_normalized<G: CoalitionalGame>(game: &G) -> Vec<f64> {
     normalize(shapley(game), game.grand_value())
 }
 
+/// `vᵢ / total` for every entry, or all zeros when `|total| < 1e-12` — the
+/// one place ϕ̂ = ϕ/V(N) is computed.
 pub(crate) fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
     if total.abs() < 1e-12 {
         vec![0.0; phi.len()]
@@ -217,9 +113,9 @@ pub(crate) fn normalize(phi: Vec<f64>, total: f64) -> Vec<f64> {
 }
 
 /// Weight `w[s] = s!·(n−1−s)!/n! = 1/(n·C(n−1,s))` for each predecessor-set
-/// size `s ∈ 0..n`.
+/// size `s ∈ 0..n` (empty for `n = 0`). Computed as `1 / (n · C(n−1, s))`,
+/// which stays in `f64` range for any `n ≤ 64`.
 fn subset_weights(n: usize) -> Vec<f64> {
-    assert!(n >= 1);
     let mut w = Vec::with_capacity(n);
     // C(n−1, s) built incrementally: C(n−1,0)=1; C(n−1,s+1)=C·(n−1−s)/(s+1).
     let mut binom = 1.0f64;
@@ -343,33 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_converges_to_exact() {
-        let g = FnGame::new(6, |c: Coalition| {
-            let s: f64 = c.players().map(|p| (p + 1) as f64).sum();
-            if s >= 8.0 {
-                s * s
-            } else {
-                0.0
-            }
-        });
-        let exact = shapley(&g);
-        let mc = shapley_monte_carlo(&g, 20_000, 42);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..6 {
-            // Within 5 standard errors (overwhelmingly likely).
-            let tol = 5.0 * mc.std_error[i] + 1e-9;
-            assert_close(mc.phi[i], exact[i], tol);
+    fn empty_game_has_empty_shapley_at_any_thread_count() {
+        let g = FnGame::new(0, |_: Coalition| 0.0);
+        for threads in [1, 4] {
+            assert_eq!(shapley_parallel(&g, threads), Vec::<f64>::new());
         }
-        // Efficiency holds exactly per-permutation, hence in the average.
-        assert_close(mc.phi.iter().sum::<f64>(), g.grand_value(), 1e-9);
-    }
-
-    #[test]
-    fn monte_carlo_is_deterministic_per_seed() {
-        let g = FnGame::new(4, |c: Coalition| c.len() as f64);
-        let a = shapley_monte_carlo(&g, 100, 7);
-        let b = shapley_monte_carlo(&g, 100, 7);
-        assert_eq!(a.phi, b.phi);
+        assert_eq!(shapley(&g), Vec::<f64>::new());
     }
 
     #[test]

@@ -6,9 +6,9 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, least_core, nucleolus, shapley_auto, shapley_auto_wide, Coalition,
-    CoalitionError, CoalitionalGame, GameProperties, ApproxConfig, ShapleyEstimate, TableGame,
-    EXACT_SHAPLEY_MAX_PLAYERS,
+    analyze, is_core_nonempty, least_core, nucleolus, shapley, shapley_auto_wide, shapley_parallel,
+    ApproxConfig, AsWide, Coalition, CoalitionError, CoalitionalGame, GameProperties,
+    ShapleyEstimate, TableGame,
 };
 
 /// A measured game's player count disagrees with the facility list.
@@ -223,21 +223,29 @@ impl FederationScenario {
 
     /// Normalized Shapley shares ϕ̂ (eq. 5).
     ///
-    /// Runs on [`threads`](FederationScenario::threads) workers; the
+    /// Always exact, whatever [`with_approx`](FederationScenario::with_approx)
+    /// says. Runs on the calling thread at one thread, on
+    /// [`threads`](FederationScenario::threads) workers otherwise; the
     /// result is bit-identical for every thread count.
     pub fn shapley_shares(&self) -> Vec<f64> {
-        if self.threads > 1 {
-            sharing::shapley_hat_of_parallel(self.game(), self.threads)
+        let game = self.game();
+        let phi = if self.threads > 1 {
+            shapley_parallel(game, self.threads)
         } else {
-            sharing::shapley_hat_of(self.game())
+            shapley(game)
+        };
+        ShapleyEstimate::Exact {
+            phi,
+            grand_value: game.grand_value(),
         }
+        .shares()
     }
 
-    /// Shapley values through the solver-selection layer: exact below
-    /// [`EXACT_SHAPLEY_MAX_PLAYERS`] facilities, the seeded sampled
-    /// estimator (with its confidence-interval certificate) above it — the
-    /// entry point that makes a 200-authority scenario answerable instead
-    /// of a `TooManyPlayers` error.
+    /// Shapley values through the solver-selection layer: exact unless
+    /// [`ApproxConfig::samples_at`] picks the seeded sampled estimator
+    /// (with its confidence-interval certificate) — the entry point that
+    /// makes a 200-authority scenario answerable instead of a
+    /// `TooManyPlayers` error.
     ///
     /// Uses the measured table when one was supplied
     /// ([`from_measured`](FederationScenario::from_measured)), the lazily
@@ -256,35 +264,13 @@ impl FederationScenario {
             threads: self.threads,
             ..self.approx
         };
-        if let Some(table) = self.table.get() {
-            // Measured scenarios must answer from their table: the
-            // closed-form model does not reproduce measured values.
-            return shapley_auto(table, &cfg);
-        }
-        let n = self.facilities().len();
-        if !cfg.force && n <= EXACT_SHAPLEY_MAX_PLAYERS {
-            return shapley_auto(self.try_game()?, &cfg);
+        // Measured scenarios must answer from their table (the
+        // closed-form model does not reproduce measured values); the
+        // exact path builds it.
+        if self.table.get().is_some() || !cfg.samples_at(self.facilities().len()) {
+            return shapley_auto_wide(&AsWide(self.try_game()?), &cfg);
         }
         shapley_auto_wide(&self.game, &cfg)
-    }
-
-    /// Normalized shares from [`shapley_estimate`]
-    /// (ϕ̂ᵢ = ϕᵢ / V(N), eq. 5), exact or sampled.
-    ///
-    /// # Errors
-    /// As [`shapley_estimate`](FederationScenario::shapley_estimate).
-    pub fn shapley_shares_estimated(&self) -> Result<Vec<f64>, CoalitionError> {
-        match self.shapley_estimate()? {
-            ShapleyEstimate::Exact(phi) => {
-                // The exact path always has a table (it just used it).
-                let grand = self.try_game()?.grand_value();
-                if grand.abs() < 1e-12 {
-                    return Ok(vec![0.0; phi.len()]);
-                }
-                Ok(phi.into_iter().map(|v| v / grand).collect())
-            }
-            ShapleyEstimate::Approx(a) => Ok(a.shares()),
-        }
     }
 
     /// Proportional (contribution-based) shares π̂ (eq. 6).
@@ -415,12 +401,13 @@ mod tests {
     fn shapley_estimate_selects_exact_on_small_scenarios() {
         let s = worked_example();
         match s.shapley_estimate().expect("worked example must solve") {
-            ShapleyEstimate::Exact(phi) => {
+            ShapleyEstimate::Exact { phi, grand_value } => {
                 assert!((phi.iter().sum::<f64>() - 1300.0).abs() < 1e-9);
+                assert_eq!(grand_value, 1300.0);
             }
             ShapleyEstimate::Approx(_) => panic!("n=3 must select exact"),
         }
-        let shares = s.shapley_shares_estimated().expect("shares");
+        let shares = s.shapley_estimate().expect("shares").shares();
         assert_eq!(shares, s.shapley_shares());
     }
 

@@ -9,7 +9,7 @@ use crate::experiment::Demand;
 use crate::facility::{offers_by_location, Facility};
 use crate::location::CapacityProfile;
 use crate::value::FederationGame;
-use fedval_coalition::{nucleolus, shapley, shapley_parallel, CoalitionalGame, TableGame};
+use fedval_coalition::{nucleolus, shapley_normalized, CoalitionalGame};
 
 /// Normalizes a non-negative vector to sum 1 (all zeros if the sum is ~0).
 pub fn normalized(raw: Vec<f64>) -> Vec<f64> {
@@ -43,33 +43,7 @@ pub fn equal_shares(n: usize) -> Vec<f64> {
 /// Materializes the game table once (2ⁿ allocation solves) and runs the
 /// exact Shapley computation.
 pub fn shapley_shares(facilities: &[Facility], demand: &Demand) -> Vec<f64> {
-    let game = FederationGame::new(facilities, demand);
-    let table = game.table();
-    shapley_hat_of(&table)
-}
-
-/// Normalized Shapley of an already-materialized game.
-pub fn shapley_hat_of(table: &TableGame) -> Vec<f64> {
-    let grand = table.grand_value();
-    if grand.abs() < 1e-12 {
-        return vec![0.0; table.n_players()];
-    }
-    shapley(table).into_iter().map(|p| p / grand).collect()
-}
-
-/// Multi-threaded [`shapley_hat_of`]: shards players across `threads`
-/// workers via [`shapley_parallel`]. Bit-for-bit identical to the
-/// sequential result for every thread count (each player's value is
-/// computed by exactly one worker, with the same summation order).
-pub fn shapley_hat_of_parallel(table: &TableGame, threads: usize) -> Vec<f64> {
-    let grand = table.grand_value();
-    if grand.abs() < 1e-12 {
-        return vec![0.0; table.n_players()];
-    }
-    shapley_parallel(table, threads)
-        .into_iter()
-        .map(|p| p / grand)
-        .collect()
+    shapley_normalized(&FederationGame::new(facilities, demand).table())
 }
 
 /// Nucleolus-based shares (the §3.2.3 alternative): the nucleolus

@@ -10,7 +10,8 @@
 //! sites jointly receive exactly the authority's top-level Shapley share.
 
 use fedval_coalition::{
-    owen_value, quotient_game, shapley, CachedGame, Coalition, CoalitionalGame,
+    owen_value_normalized, quotient_game, shapley_normalized, CachedGame, Coalition,
+    CoalitionalGame,
 };
 use fedval_core::{Demand, Facility, FederationGame};
 
@@ -62,19 +63,10 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
     let game = CachedGame::new(FederationGame::new(&flat, demand));
     let grand_value = game.grand_value();
 
-    let owen = owen_value(&game, &unions);
-    let quotient = quotient_game(&game, &unions);
-    let authority_raw = shapley(&quotient);
-
-    let normalize = |v: Vec<f64>| -> Vec<f64> {
-        if grand_value.abs() < 1e-12 {
-            vec![0.0; v.len()]
-        } else {
-            v.into_iter().map(|x| x / grand_value).collect()
-        }
-    };
-    let owen_hat = normalize(owen);
-    let authority_shares = normalize(authority_raw);
+    let owen_hat = owen_value_normalized(&game, &unions);
+    // The quotient's grand coalition is the union of every block, so its
+    // V is this game's V(N).
+    let authority_shares = shapley_normalized(&quotient_game(&game, &unions));
 
     let mut site_shares = Vec::with_capacity(site_groups.len());
     let mut idx = 0usize;

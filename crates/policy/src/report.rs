@@ -3,8 +3,7 @@
 use crate::compare::{compare_schemes, SchemeAssessment};
 use crate::scheme::SharingScheme;
 use fedval_coalition::{
-    ApproxShapley, CoalitionError, CoalitionalGame, GameDiagnostics, ShapleyEstimate,
-    NUCLEOLUS_MAX_PLAYERS,
+    ApproxShapley, CoalitionError, GameDiagnostics, ShapleyEstimate, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::FederationScenario;
 use std::fmt::Write as _;
@@ -150,19 +149,14 @@ pub fn try_policy_report_measured(
 fn approx_report(scenario: &FederationScenario) -> Result<PolicyReport, CoalitionError> {
     let _report_span = fedval_obs::span("policy.report.build_approx");
     let n = scenario.facilities().len();
-    let (shapley_shares, approx, grand_value) = match scenario.shapley_estimate()? {
-        ShapleyEstimate::Exact(phi) => {
-            // Exact selection past the nucleolus cap (13..=16 players):
-            // the table exists, only the enumeration-heavy columns drop.
-            let grand = scenario.try_game()?.grand_value();
-            let shares = if grand.abs() < 1e-12 {
-                vec![0.0; phi.len()]
-            } else {
-                phi.iter().map(|v| v / grand).collect()
-            };
-            (shares, None, grand)
-        }
-        ShapleyEstimate::Approx(a) => (a.shares(), Some(a.clone()), a.grand_value),
+    // Exact selection past the nucleolus cap (13..=16 players) keeps
+    // exact shares; only the enumeration-heavy columns drop.
+    let estimate = scenario.shapley_estimate()?;
+    let shapley_shares = estimate.shares();
+    let grand_value = estimate.grand_value();
+    let approx = match estimate {
+        ShapleyEstimate::Approx(a) => Some(a),
+        ShapleyEstimate::Exact { .. } => None,
     };
     let pi = scenario.proportional_shares();
     let dist = |shares: &[f64]| -> f64 {

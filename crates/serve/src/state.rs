@@ -22,11 +22,10 @@ use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
 use fedval_coalition::approx::WideGame;
 use fedval_coalition::{
-    nucleolus, try_approx_shapley_wide, ApproxConfig, ApproxShapley, CachedGame, Coalition,
-    CoalitionalGame, TableGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_PLAYERS as BITSET_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
+    nucleolus, shapley_normalized, try_approx_shapley_wide, ApproxConfig, ApproxShapley,
+    CachedGame, Coalition, CoalitionalGame, TableGame, EXACT_SHAPLEY_MAX_PLAYERS,
+    MAX_PLAYERS as BITSET_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
-use fedval_core::sharing::shapley_hat_of;
 use fedval_core::{Demand, ExperimentClass, Facility, FederationGame, Volume};
 use fedval_obs::OrderedMutex;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -208,12 +207,13 @@ impl ServeState {
     }
 
     /// True when share queries are answered by the sampled estimator:
-    /// the resident scenario is past [`EXACT_SHAPLEY_MAX_PLAYERS`], or
-    /// the operator forced sampling with `--approx`. Mirrors the
-    /// dispatch guard in [`ServeState::execute`]; `stats` uses it so
-    /// the advertised method can never drift from the answering path.
+    /// [`ApproxConfig::samples_at`] for the resident scenario (past
+    /// [`EXACT_SHAPLEY_MAX_PLAYERS`], or forced with `--approx`). The
+    /// dispatch in [`ServeState::execute`] asks the same rule; `stats`
+    /// uses it so the advertised method can never drift from the
+    /// answering path.
     pub fn approx_active(&self) -> bool {
-        self.approx.force || self.n() > EXACT_SHAPLEY_MAX_PLAYERS
+        self.approx.samples_at(self.n())
     }
 
     /// The scenario spec being served.
@@ -363,9 +363,7 @@ impl ServeState {
     ) -> Result<String, QueryError> {
         let _span = fedval_obs::span_with("serve.state.solve", || format!("kind={kind}"));
         match which {
-            SolveWhich::Shapley
-                if self.approx.force || spec.n() > EXACT_SHAPLEY_MAX_PLAYERS =>
-            {
+            SolveWhich::Shapley if self.approx.samples_at(spec.n()) => {
                 // Solver selection: past the exact cap (or under
                 // `--approx`) the query is answered by the sampled
                 // estimator with its confidence-interval certificate.
@@ -456,7 +454,7 @@ fn render_shares_payload(
 ) -> Result<String, QueryError> {
     let grand = table.grand_value();
     let shares = match which {
-        SolveWhich::Shapley => shapley_hat_of(table),
+        SolveWhich::Shapley => shapley_normalized(table),
         SolveWhich::Nucleolus => {
             if grand.abs() < 1e-12 {
                 vec![0.0; table.n_players()]

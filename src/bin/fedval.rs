@@ -16,8 +16,7 @@ use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::{
     ApproxConfig, ApproxMethod, Coalition, CoalitionalGame, Demand, ExperimentClass, Facility,
-    FederationScenario, ShapleyEstimate, SharingScheme, Volume, EXACT_SHAPLEY_MAX_PLAYERS,
-    MAX_SAMPLED_PLAYERS,
+    FederationScenario, SharingScheme, Volume, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
 use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
 use std::process::ExitCode;
@@ -276,20 +275,10 @@ fn build_scenario(opts: &Options) -> FederationScenario {
 /// per-facility CI half-width column and the certificate header.
 fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), String> {
     let estimate = scenario.shapley_estimate().map_err(|e| e.to_string())?;
-    let approx = match estimate {
-        ShapleyEstimate::Approx(a) => a,
-        // Only reachable if solver selection changes under us; render the
-        // exact result in the sampled format with zero-width intervals.
-        ShapleyEstimate::Exact(phi) => {
-            let grand: f64 = phi.iter().sum();
-            println!("scheme: shapley (exact) — V(N) = {grand:.2}");
-            println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-            for (i, v) in phi.iter().enumerate() {
-                let share = if grand.abs() < 1e-12 { 0.0 } else { v / grand };
-                println!("{:>10} {:>10.4} {:>14.2}", i + 1, share, v);
-            }
-            return Ok(());
-        }
+    // The caller and the scenario ask the same `ApproxConfig::samples_at`,
+    // so this path always gets a sampled estimate.
+    let Some(approx) = estimate.as_approx() else {
+        return Err("shares: solver selection returned exact Shapley on the sampled path".into());
     };
     let shares = approx.shares();
     let ci = approx.ci_shares();
@@ -386,7 +375,7 @@ fn execute(opts: &Options) -> Result<(), String> {
                      (got {n}) and has no sampled fallback; use --scheme shapley"
                 ));
             }
-            let sampled = opts.approx.force || n > EXACT_SHAPLEY_MAX_PLAYERS;
+            let sampled = opts.approx.samples_at(n);
             match (&scheme, sampled) {
                 (SharingScheme::Shapley, true) => print_sampled_shapley(&scenario, n)?,
                 (_, true) => {

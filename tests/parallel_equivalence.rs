@@ -8,8 +8,9 @@
 //! thread count leak into committed figure CSVs and
 //! BENCH_pipeline.json's deterministic section.
 
+use fedval::{paper_facilities, synthetic_scenario, Demand, ExperimentClass, FederationScenario};
 use fedval_bench::{run_sweep, set_sweep_threads};
-use fedval_coalition::{shapley, shapley_parallel, TableGame};
+use fedval_coalition::{shapley, shapley_normalized, shapley_parallel, ShapleyEstimate, TableGame};
 use proptest::prelude::*;
 
 /// Random small `TableGame`: 2–6 players, arbitrary finite values with
@@ -71,4 +72,34 @@ fn figure_data_is_thread_invariant() {
         sequential, parallel,
         "fig4 CSV differs between threads=1 and threads=4"
     );
+}
+
+/// One normalization: on the exact path, `ShapleyEstimate::shares` is
+/// `shapley_normalized` bit for bit, at one thread and at four.
+#[test]
+fn exact_estimate_shares_match_shapley_normalized() {
+    let scenarios: [fn() -> FederationScenario; 2] = [
+        || {
+            FederationScenario::new(
+                paper_facilities([1, 1, 1]),
+                Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
+            )
+        },
+        || synthetic_scenario(8, 42),
+    ];
+    for build in scenarios {
+        let expected = shapley_normalized(build().game());
+        for threads in [1, 4] {
+            let estimate = build()
+                .with_threads(threads)
+                .shapley_estimate()
+                .expect("exact path solves");
+            assert!(matches!(estimate, ShapleyEstimate::Exact { .. }));
+            let shares = estimate.shares();
+            assert_eq!(shares.len(), expected.len());
+            for (a, b) in shares.iter().zip(&expected) {
+                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+            }
+        }
+    }
 }

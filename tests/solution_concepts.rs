@@ -2,12 +2,10 @@
 //! generated federation-style games.
 
 use fedval::coalition::{
-    analyze, harsanyi_dividends, is_in_core, shapley_from_dividends, values_from_dividends,
-    TableGame,
+    analyze, harsanyi_dividends, is_in_core, shapley_from_dividends, try_approx_shapley_wide,
+    values_from_dividends, AsWide, TableGame,
 };
-use fedval::{
-    is_core_nonempty, nucleolus, shapley, shapley_monte_carlo, Coalition, CoalitionalGame,
-};
+use fedval::{is_core_nonempty, nucleolus, shapley, ApproxConfig, Coalition, CoalitionalGame};
 use proptest::prelude::*;
 
 /// Random monotone game over n players built from non-negative Harsanyi
@@ -73,7 +71,13 @@ proptest! {
     #[test]
     fn monte_carlo_tracks_exact_shapley(game in random_threshold_game()) {
         let exact = shapley(&game);
-        let mc = shapley_monte_carlo(&game, 4000, 1234);
+        let cfg = ApproxConfig {
+            samples: 4000,
+            seed: 1234,
+            force: true,
+            ..ApproxConfig::default()
+        };
+        let mc = try_approx_shapley_wide(&AsWide(&game), &cfg).expect("valid config");
         #[allow(clippy::needless_range_loop)]
         for i in 0..exact.len() {
             let tol = 6.0 * mc.std_error[i] + 1e-6;
