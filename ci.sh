@@ -3,7 +3,8 @@
 #
 #   ./ci.sh            build, test, clippy, bench --check, sweep and
 #                      trace invariance, serve smoke, sampled-Shapley
-#                      smoke, fedchaos, benchmark gate smoke, fedval-lint
+#                      smoke, closed-pipe and bad-flag smoke, fedchaos,
+#                      benchmark gate smoke, fedval-lint
 #
 # The clippy stage enforces the no-panic rule on every crate's non-test
 # lib code: unwrap()/expect() are denied workspace-wide (tests are exempt —
@@ -15,8 +16,10 @@
 # lint-baseline.toml, and any NEW finding fails the build.
 set -eu
 
-echo "== cargo build --release"
-cargo build --release
+echo "== cargo build --release --workspace"
+# Every binary the stages below run (fedval-serve, fedload, fedform,
+# fedchaos, repro) lives in a member crate, not in the root package.
+cargo build --release --workspace
 
 echo "== cargo test -q (workspace; dev profile arms the lock-order checker)"
 # Tests run under debug_assertions, so every OrderedMutex/OrderedRwLock
@@ -248,9 +251,37 @@ if ! grep -q "outcome fingerprint:" "$form_tmp/t4_run1.txt"; then
     exit 1
 fi
 
+echo "== closed-pipe and bad-flag smoke (no CLI input reaches a panic)"
+# A reader that leaves early (`tool | head -n 1`) closes stdout under a
+# running tool; it must exit without a "panicked" line on stderr. An
+# out-of-range numeric flag must be rejected with exit 1 (a panic is 101).
+pipe_tmp=$(mktemp -d)
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${pipe_tmp:-}" "${chaos_tmp:-}"' EXIT
+for cmd in "fedval shares --synthetic 200" "fedform --synthetic 200" "repro all"; do
+    # shellcheck disable=SC2086
+    ./target/release/$cmd 2> "$pipe_tmp/stderr.txt" | head -n 1 > /dev/null
+    if grep -q "panicked" "$pipe_tmp/stderr.txt"; then
+        echo ""
+        echo "ci.sh: '$cmd | head -n 1' panicked on the closed pipe instead of"
+        echo "exiting cleanly:"
+        cat "$pipe_tmp/stderr.txt"
+        exit 1
+    fi
+done
+bad_flag_status=0
+./target/release/fedval shares --shape nan > /dev/null 2> "$pipe_tmp/stderr.txt" \
+    || bad_flag_status=$?
+if [ "$bad_flag_status" -ne 1 ]; then
+    echo ""
+    echo "ci.sh: 'fedval shares --shape nan' exited $bad_flag_status, not 1 — a bad"
+    echo "flag must be a parse error, not a panic:"
+    cat "$pipe_tmp/stderr.txt"
+    exit 1
+fi
+
 echo "== fedchaos smoke (seeded chaos campaign vs hardened daemon)"
 chaos_tmp=$(mktemp -d)
-trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${chaos_tmp:-}"' EXIT
+trap 'rm -rf "$sweep_tmp" "$trace_tmp" "${smoke_tmp:-}" "${approx_tmp:-}" "${form_tmp:-}" "${pipe_tmp:-}" "${chaos_tmp:-}"' EXIT
 ./target/release/fedval-serve --addr 127.0.0.1:0 --warm --chaos-harness \
     --max-connections 24 --io-timeout-ms 500 --frame-deadline-ms 1000 \
     --idle-timeout-ms 5000 > "$chaos_tmp/serve.log" 2>&1 &

@@ -31,9 +31,10 @@ use fedval_bench::{set_sweep_threads, Figure};
 use fedval_coalition::{shapley, try_approx_shapley_wide, ApproxConfig, CachedGame, Coalition};
 use fedval_core::{paper_facilities, Demand, ExperimentClass, FederationGame, FederationScenario};
 use fedval_obs::{RecordingSink, RunReport};
-use fedval_policy::policy_report;
+use fedval_policy::try_policy_report;
 use fedval_testbed::{
-    run_coalition, synthetic_authority, synthetic_federation, Federation, SimConfig, Workload,
+    run_coalition_faulted, synthetic_authority, synthetic_federation, FaultPlan, Federation,
+    SimConfig, Workload,
 };
 use std::process::ExitCode;
 
@@ -332,7 +333,7 @@ fn run_pipeline(
                 paper_facilities([1, 1, 1]),
                 Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
             );
-            let _ = s.game(); // force the coalition table inside this phase
+            let _ = s.try_game(); // force the coalition table inside this phase
             s
         };
         {
@@ -345,15 +346,16 @@ fn run_pipeline(
         }
         {
             let _phase = fedval_obs::span("bench.phase.report");
-            let _ = policy_report(&scenario).render();
+            let _ = try_policy_report(&scenario).map(|report| report.render());
         }
         {
             // Exact Shapley revisits each coalition once per player, so a
             // cache in front of the table produces a deterministic
             // hit/miss split — the ratio BENCH_pipeline.json tracks.
             let _phase = fedval_obs::span("bench.phase.cached_shapley");
-            let cached = CachedGame::new(scenario.game().clone());
-            let _ = shapley(&cached);
+            if let Ok(table) = scenario.try_game() {
+                let _ = shapley(&CachedGame::new(table.clone()));
+            }
         }
         {
             // Seeded statistical-multiplexing run (the demand-simulation
@@ -371,7 +373,9 @@ fn run_pipeline(
                 seed: 99,
                 churn: None,
             };
-            let _ = run_coalition(&federation, Coalition::grand(2), &workload, &config);
+            let plan = FaultPlan::new();
+            let _ =
+                run_coalition_faulted(&federation, Coalition::grand(2), &workload, &config, &plan);
         }
         let sweep = {
             // Fig. 4–9 twice: sequential baseline, then the parallel
@@ -422,8 +426,9 @@ fn overhead_workload() {
         paper_facilities([1, 1, 1]),
         Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
     );
-    let cached = CachedGame::new(scenario.game().clone());
-    let _ = shapley(&cached);
+    if let Ok(table) = scenario.try_game() {
+        let _ = shapley(&CachedGame::new(table.clone()));
+    }
 }
 
 /// Times [`overhead_workload`] enabled-with-NullSink vs disabled (one

@@ -13,28 +13,44 @@
 //! Exit code 0 iff every check passes.
 
 use fedval_bench::{all_figures, check_all, table_e1};
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 
-fn print_table_e1() {
+fn print_table_e1(out: &mut dyn Write) -> std::io::Result<()> {
     let t = table_e1();
-    println!("# table-e1 — §4.1 worked example (l = 500, L = (100,400,800))");
-    println!("{:>10} {:>10}", "coalition", "V");
+    writeln!(out, "# table-e1 — §4.1 worked example (l = 500, L = (100,400,800))")?;
+    writeln!(out, "{:>10} {:>10}", "coalition", "V")?;
     for (label, v) in &t.coalition_values {
-        println!("{label:>10} {v:>10.1}");
+        writeln!(out, "{label:>10} {v:>10.1}")?;
     }
-    println!("{:>10} {:>10} {:>10}", "facility", "phi_hat", "pi_hat");
+    writeln!(out, "{:>10} {:>10} {:>10}", "facility", "phi_hat", "pi_hat")?;
     for i in 0..3 {
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>10.6} {:>10.6}",
             i + 1,
             t.shapley_hat[i],
             t.proportional_hat[i]
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 fn main() -> ExitCode {
+    match run(&mut std::io::stdout().lock()) {
+        Ok(code) => code,
+        Err(e) if fedval_obs::is_broken_pipe(e.as_ref()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Prints what the arguments ask for; the exit code says whether every
+/// paper check passed.
+fn run(out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
     // --csv DIR: additionally write every generated figure as CSV.
@@ -56,12 +72,10 @@ fn main() -> ExitCode {
     // The figure data is byte-identical for every value (DESIGN.md §9).
     if let Some(pos) = args.iter().position(|a| a == "--threads") {
         let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) else {
-            eprintln!("--threads needs a positive integer");
-            return ExitCode::FAILURE;
+            return Err("--threads needs a positive integer".into());
         };
         if n == 0 {
-            eprintln!("--threads must be at least 1");
-            return ExitCode::FAILURE;
+            return Err("--threads must be at least 1".into());
         }
         args.drain(pos..=pos + 1);
         fedval_bench::set_sweep_threads(n);
@@ -84,12 +98,12 @@ fn main() -> ExitCode {
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
 
     if want("table-e1") && !args.iter().any(|a| a == "checks") {
-        print_table_e1();
+        print_table_e1(out)?;
     }
     if !args.iter().any(|a| a == "checks") {
         for fig in all_figures() {
             if want(fig.id) {
-                println!("{}", fig.render());
+                writeln!(out, "{}", fig.render())?;
                 write_csv(&fig);
             }
         }
@@ -99,29 +113,32 @@ fn main() -> ExitCode {
             |id: &str| args.iter().any(|a| a == id || a == "extras" || a == "all");
         for fig in fedval_bench::all_extras() {
             if want_extras(fig.id) {
-                println!("{}", fig.render());
+                writeln!(out, "{}", fig.render())?;
                 write_csv(&fig);
             }
         }
     }
 
     if args.is_empty() || args.iter().any(|a| a == "checks" || a == "all") {
-        println!("# paper-claim checks");
+        writeln!(out, "# paper-claim checks")?;
         let mut all_ok = true;
         for result in check_all() {
             for (desc, ok) in &result.assertions {
-                println!(
+                writeln!(
+                    out,
                     "[{}] {:10} {}",
                     if *ok { "PASS" } else { "FAIL" },
                     result.id,
                     desc
-                );
+                )?;
                 all_ok &= ok;
             }
         }
         if !all_ok {
-            return ExitCode::FAILURE;
+            out.flush()?;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    out.flush()?;
+    Ok(ExitCode::SUCCESS)
 }

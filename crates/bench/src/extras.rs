@@ -13,6 +13,7 @@
 //! * `ext5` — static vs measured Shapley shares across workload seeds:
 //!   validates the off-line policy pipeline end to end.
 
+use crate::figures::fixed_input;
 use crate::series::{Figure, Series};
 use fedval_coalition::{shapley_normalized, TableGame};
 use fedval_core::allocation::{solve, solve_greedy, GreedyPolicy};
@@ -36,8 +37,8 @@ pub fn ext1_overlap() -> Figure {
             Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
         );
         let x = shared as f64;
-        value.push(x, scenario.grand_value());
-        phi3.push(x, scenario.shapley_shares()[2]);
+        value.push(x, fixed_input(scenario.grand_value()));
+        phi3.push(x, fixed_input(scenario.shapley_shares())[2]);
         discount.push(x, d);
     }
     Figure {
@@ -53,12 +54,13 @@ pub fn ext1_overlap() -> Figure {
 pub fn ext2_availability() -> Figure {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
-    let base = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let base = fixed_input(TableGame::try_from_game(&FederationGame::new(&facilities, &demand)));
     let mut share2 = Series::new("phi_hat_2");
     let mut grand = Series::new("V_T(N)");
     for step in 1..=10 {
         let t2 = step as f64 / 10.0;
-        let game = TableGame::from_game(&AvailabilityGame::new(base.clone(), vec![1.0, t2, 1.0]));
+        let available = fixed_input(AvailabilityGame::try_new(base.clone(), vec![1.0, t2, 1.0]));
+        let game = fixed_input(TableGame::try_from_game(&available));
         share2.push(t2, shapley_normalized(&game)[1]);
         grand.push(t2, game.values()[7]);
     }
@@ -86,7 +88,7 @@ pub fn ext3_dynamic_multiplexing() -> Figure {
         )
         .with_holding_scale(scale);
         let game = DynamicFederationGame::new(&facilities, &demand);
-        let table = TableGame::from_game(&game);
+        let table = fixed_input(TableGame::try_from_game(&game));
         let shares = shapley_normalized(&table);
         value_rate.push(scale, table.values()[7]);
         phi3.push(scale, shares[2]);
@@ -141,7 +143,9 @@ pub fn ext4_greedy_loss() -> Figure {
 /// two routes must tell the same story for the paper's off-line policy
 /// pipeline to be trustworthy.
 pub fn ext5_static_vs_measured() -> Figure {
-    use fedval_testbed::{empirical_game, synthetic_authority, Federation, SimConfig, Workload};
+    use fedval_testbed::{
+        empirical_game_diagnosed, synthetic_authority, FaultPlan, Federation, SimConfig, Workload,
+    };
 
     // Geometry: 8/5/3 sites with *different* node depths (3/2/1 slivers),
     // class needs > 7 locations. Coalitions differ in both diversity and
@@ -161,7 +165,7 @@ pub fn ext5_static_vs_measured() -> Figure {
         facilities,
         Demand::capacity_filling(class.clone()),
     );
-    let static_phi = static_scenario.shapley_shares();
+    let static_phi = fixed_input(static_scenario.shapley_shares());
 
     let mut series: Vec<Series> = (1..=3)
         .map(|i| Series::new(format!("measured phi_hat_{i}")))
@@ -181,8 +185,8 @@ pub fn ext5_static_vs_measured() -> Figure {
             seed,
             churn: None,
         };
-        let game = empirical_game(&federation, &workload, &config);
-        let measured = shapley_normalized(&game);
+        let game = empirical_game_diagnosed(&federation, &workload, &config, &FaultPlan::new());
+        let measured = shapley_normalized(&fixed_input(game).game);
         for i in 0..3 {
             series[i].push(seed as f64, measured[i]);
             static_series[i].push(seed as f64, static_phi[i]);

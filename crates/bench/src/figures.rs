@@ -11,6 +11,20 @@ use fedval_core::{
     ThresholdPower, Utility, Volume,
 };
 
+/// Unwraps a query on one of the paper's fixed inputs. Every figure and
+/// extension experiment runs three facilities (or authorities) with
+/// availabilities in `(0, 1]`, so no table-backed query, availability
+/// vector or measured game can fail, and the generators keep their
+/// infallible signatures.
+pub(crate) fn fixed_input<T, E: std::fmt::Display>(query: Result<T, E>) -> T {
+    match query {
+        Ok(value) => value,
+        // lint: allow(no-panic-path) — n = 3 is below every cap
+        // (TableGame::MAX_PLAYERS, NUCLEOLUS_MAX_PLAYERS, 16 authorities).
+        Err(e) => unreachable!("fixed n = 3 input failed: {e}"),
+    }
+}
+
 /// One sweep point's share vectors (n = 3 facilities).
 struct PointShares {
     phi: Vec<f64>,
@@ -37,7 +51,7 @@ fn share_sweep(
         |&x| {
             let scenario = scenario_at(x);
             PointShares {
-                phi: scenario.shapley_shares(),
+                phi: fixed_input(scenario.shapley_shares()),
                 pi: scenario.proportional_shares(),
                 rho: include_consumption.then(|| scenario.consumption_shares()),
             }
@@ -114,7 +128,7 @@ pub fn table_e1() -> WorkedExample {
         paper_facilities([1, 1, 1]),
         Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
     );
-    let game = scenario.game();
+    let game = fixed_input(scenario.try_game());
     let labels = [
         (Coalition::from_players([0]), "{1}"),
         (Coalition::from_players([1]), "{2}"),
@@ -129,7 +143,7 @@ pub fn table_e1() -> WorkedExample {
             .iter()
             .map(|&(c, l)| (l.to_string(), game.value(c)))
             .collect(),
-        shapley_hat: scenario.shapley_shares(),
+        shapley_hat: fixed_input(scenario.shapley_shares()),
         proportional_hat: scenario.proportional_shares(),
     }
 }
@@ -279,9 +293,9 @@ pub fn fig9_incentives() -> Figure {
                 paper_facilities_with_locations([l1, 400, 800], [80, 60, 20]),
                 Demand::capacity_filling(ExperimentClass::simple("e", l, 1.0)),
             );
-            let grand = scenario.grand_value();
+            let grand = fixed_input(scenario.grand_value());
             (
-                scenario.shapley_shares()[0] * grand,
+                fixed_input(scenario.shapley_shares())[0] * grand,
                 scenario.proportional_shares()[0] * grand,
             )
         },

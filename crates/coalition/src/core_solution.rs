@@ -57,28 +57,13 @@ pub fn excess<G: CoalitionalGame>(game: &G, x: &[f64], s: Coalition) -> f64 {
     game.value(s) - xs
 }
 
-/// Solves the least-core LP.
-///
-/// # Panics
-/// Panics where [`try_least_core`] would return an error: `n == 0`, `n > 16`
-/// (LP size `2^n` becomes impractical), or an internal LP failure.
-pub fn least_core<G: CoalitionalGame>(game: &G) -> LeastCore {
-    match try_least_core(game) {
-        Ok(lc) => lc,
-        // lint: allow(no-panic-path) — documented `# Panics` convenience
-        // wrapper; fallible callers use the try_ variant instead.
-        Err(e) => panic!("least_core: {e}"),
-    }
-}
-
 /// Largest player count the least-core (and balancedness) LP formulations
 /// enumerate: the LP has `2^n − 2` rows, so 16 players already means 65534
 /// constraints. Above this cap use the sampled Shapley estimators
 /// ([`crate::shapley_auto_wide`]) — core membership has no sampled analogue here.
 pub const LEAST_CORE_MAX_PLAYERS: usize = 16;
 
-/// Solves the least-core LP, reporting failures as [`GameError`] instead of
-/// panicking — the entry point for degraded-mode pipelines.
+/// Solves the least-core LP.
 ///
 /// # Errors
 /// [`GameError::NoPlayers`] for an empty game, [`GameError::TooManyPlayers`]
@@ -165,8 +150,11 @@ pub fn try_least_core<G: CoalitionalGame>(game: &G) -> Result<LeastCore, GameErr
 }
 
 /// Whether the core is non-empty (least-core ε\* ≤ tolerance).
-pub fn is_core_nonempty<G: CoalitionalGame>(game: &G) -> bool {
-    least_core(game).epsilon <= CORE_TOL
+///
+/// # Errors
+/// As [`try_least_core`].
+pub fn is_core_nonempty<G: CoalitionalGame>(game: &G) -> Result<bool, GameError> {
+    Ok(try_least_core(game)?.epsilon <= CORE_TOL)
 }
 
 /// Whether allocation `x` lies in the ε-core: efficient, and no coalition's
@@ -204,10 +192,10 @@ mod tests {
     #[test]
     fn majority_game_core_is_empty() {
         let g = majority();
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("least core");
         // Known: least-core ε* = 1/3 for the 3-player majority game.
         assert!((lc.epsilon - 1.0 / 3.0).abs() < 1e-6, "ε* = {}", lc.epsilon);
-        assert!(!is_core_nonempty(&g));
+        assert!(!is_core_nonempty(&g).expect("least core"));
         // The least-core allocation is the symmetric (1/3, 1/3, 1/3).
         for v in &lc.allocation {
             assert!((v - 1.0 / 3.0).abs() < 1e-6);
@@ -217,7 +205,7 @@ mod tests {
     #[test]
     fn additive_game_core_contains_singleton_vector() {
         let g = additive();
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("least core"));
         assert!(is_in_core(&g, &[1.0, 2.0, 3.0], 1e-9));
         assert!(!is_in_core(&g, &[0.5, 2.0, 3.5], 1e-9)); // player 0 blocks
         assert!(!is_in_core(&g, &[2.0, 2.0, 3.0], 1e-9)); // inefficient
@@ -226,7 +214,7 @@ mod tests {
     #[test]
     fn least_core_allocation_is_in_epsilon_core() {
         let g = majority();
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("least core");
         assert!(is_in_epsilon_core(&g, &lc.allocation, lc.epsilon, 1e-6));
         // ...but not in any tighter core.
         assert!(!is_in_epsilon_core(
@@ -246,10 +234,10 @@ mod tests {
             let right = c.contains(1) as usize + c.contains(2) as usize;
             left.min(right) as f64
         });
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("least core"));
         assert!(is_in_core(&g, &[1.0, 0.0, 0.0], 1e-9));
         assert!(!is_in_core(&g, &[0.8, 0.1, 0.1], 1e-9));
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("least core");
         assert!(lc.epsilon <= 1e-7);
     }
 
@@ -281,7 +269,7 @@ mod tests {
     #[test]
     fn single_player_least_core() {
         let g = FnGame::new(1, |c: Coalition| if c.is_empty() { 0.0 } else { 7.0 });
-        let lc = least_core(&g);
+        let lc = try_least_core(&g).expect("least core");
         assert_eq!(lc.allocation, vec![7.0]);
         assert!(is_in_core(&g, &lc.allocation, 1e-9));
     }
@@ -300,7 +288,7 @@ mod tests {
                 0.0
             }
         });
-        assert!(is_core_nonempty(&g));
+        assert!(is_core_nonempty(&g).expect("least core"));
         // Equal split is in the core: no proper coalition has any value.
         let equal = vec![1300.0 / 3.0; 3];
         assert!(is_in_core(&g, &equal, 1e-9));
@@ -315,6 +303,6 @@ mod tests {
             let total: f64 = c.players().map(|p| l_contrib[p]).sum();
             total.powf(0.5)
         });
-        assert!(!is_core_nonempty(&g));
+        assert!(!is_core_nonempty(&g).expect("least core"));
     }
 }

@@ -1,7 +1,7 @@
 //! Provenance for empirically measured games.
 //!
 //! When a characteristic function is *measured* — by running a testbed
-//! simulation per coalition, as `fedval-testbed::empirical_game` does — any
+//! simulation per coalition, as `fedval-testbed::empirical_game_diagnosed` does — any
 //! individual measurement can fail: injected faults can wedge a run, an LP
 //! can stall, a credential exchange can be refused. A robust pipeline
 //! substitutes a conservative fallback value and keeps going, but the

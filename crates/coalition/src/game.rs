@@ -19,7 +19,7 @@ use std::sync::Condvar;
 /// concepts evaluate `value` up to `O(2^n)` times. Expensive characteristic
 /// functions (e.g. ones that run an allocation optimizer or a simulation)
 /// should be wrapped in a [`CachedGame`] or materialized into a
-/// [`TableGame`] via [`TableGame::from_game`].
+/// [`TableGame`] via [`TableGame::try_from_game`].
 pub trait CoalitionalGame: Sync {
     /// Number of players `n = |N|`.
     fn n_players(&self) -> usize;
@@ -96,34 +96,6 @@ impl TableGame {
         TableGame::try_from_fn(game.n_players(), |c| game.value(c))
     }
 
-    /// Builds a table game by evaluating `f` on every coalition.
-    ///
-    /// # Panics
-    /// Panics where [`TableGame::try_from_fn`] would return an error
-    /// (`n > TableGame::MAX_PLAYERS`).
-    pub fn from_fn(n: usize, f: impl Fn(Coalition) -> f64) -> TableGame {
-        match TableGame::try_from_fn(n, f) {
-            Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper for the paper's small scenarios; fallible callers use
-            // try_from_fn.
-            Err(e) => panic!("TableGame::from_fn: {e}"),
-        }
-    }
-
-    /// Materializes any [`CoalitionalGame`] into a dense table.
-    ///
-    /// # Panics
-    /// Panics where [`TableGame::try_from_game`] would return an error.
-    pub fn from_game<G: CoalitionalGame>(game: &G) -> TableGame {
-        match TableGame::try_from_game(game) {
-            Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper mirroring from_fn.
-            Err(e) => panic!("TableGame::from_game: {e}"),
-        }
-    }
-
     /// Builds directly from a value vector indexed by coalition mask.
     ///
     /// # Panics
@@ -145,13 +117,17 @@ impl TableGame {
 
     /// The zero-normalized version of this game:
     /// `V₀(S) = V(S) − Σ_{i∈S} V({i})`.
+    ///
+    /// `self` already holds a validated `n ≤ MAX_PLAYERS`, so the values
+    /// are filled directly.
     pub fn zero_normalized(&self) -> TableGame {
         let singles: Vec<f64> = (0..self.n)
             .map(|i| self.values[Coalition::singleton(i).index()])
             .collect();
-        TableGame::from_fn(self.n, |c| {
-            self.values[c.index()] - c.players().map(|p| singles[p]).sum::<f64>()
-        })
+        let values = Coalition::all(self.n)
+            .map(|c| self.values[c.index()] - c.players().map(|p| singles[p]).sum::<f64>())
+            .collect();
+        TableGame { n: self.n, values }
     }
 }
 
@@ -376,7 +352,7 @@ mod tests {
     use super::*;
 
     fn cardinality_game(n: usize) -> TableGame {
-        TableGame::from_fn(n, |c| c.len() as f64)
+        TableGame::try_from_fn(n, |c| c.len() as f64).expect("table fits")
     }
 
     #[test]
@@ -391,14 +367,15 @@ mod tests {
 
     #[test]
     fn marginal_contribution() {
-        let g = TableGame::from_fn(3, |c| (c.len() * c.len()) as f64);
+        let g = TableGame::try_from_fn(3, |c| (c.len() * c.len()) as f64).expect("table fits");
         // Δ_0({1}) = V({0,1}) − V({1}) = 4 − 1 = 3.
         assert_eq!(g.marginal(0, Coalition::singleton(1)), 3.0);
     }
 
     #[test]
     fn zero_normalization_subtracts_singletons() {
-        let g = TableGame::from_fn(3, |c| if c.is_empty() { 0.0 } else { 10.0 });
+        let g = TableGame::try_from_fn(3, |c| if c.is_empty() { 0.0 } else { 10.0 })
+            .expect("table fits");
         let z = g.zero_normalized();
         assert_eq!(z.value(Coalition::singleton(0)), 0.0);
         assert_eq!(z.value(Coalition::grand(3)), 10.0 - 30.0);
@@ -456,16 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn try_from_game_matches_from_game() {
+    fn try_from_game_matches_the_game() {
         let g = FnGame::new(3, |c: Coalition| (c.len() * 2) as f64);
         let table = TableGame::try_from_game(&g).expect("3 players fit");
-        assert_eq!(table.values(), TableGame::from_game(&g).values());
-    }
-
-    #[test]
-    #[should_panic(expected = "supports at most")]
-    fn from_fn_panics_past_max_players() {
-        let _ = TableGame::from_fn(TableGame::MAX_PLAYERS + 1, |_| 0.0);
+        assert!(Coalition::all(3).all(|c| table.value(c) == g.value(c)));
     }
 
     /// Regression test for the concurrent-miss race: before the

@@ -53,12 +53,12 @@ pub use approx::{
     try_approx_shapley_wide, z_for_confidence, ApproxConfig, ApproxMethod, ApproxShapley, AsWide,
     ShapleyEstimate, WideGame, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
 };
-pub use balancedness::{balancedness, is_balanced, try_balancedness, Balancedness};
+pub use balancedness::{is_balanced, try_balancedness, Balancedness};
 pub use banzhaf::{banzhaf, banzhaf_normalized};
 pub use coalition::{Coalition, PlayerId, Players, Subsets, MAX_PLAYERS};
 pub use core_solution::{
-    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, least_core, try_least_core,
-    LeastCore, CORE_TOL, LEAST_CORE_MAX_PLAYERS,
+    excess, is_core_nonempty, is_in_core, is_in_epsilon_core, try_least_core, LeastCore, CORE_TOL,
+    LEAST_CORE_MAX_PLAYERS,
 };
 pub use diagnostics::{CoalitionDiagnostics, GameDiagnostics, ValueSource};
 pub use error::{CoalitionError, GameError};
@@ -67,7 +67,7 @@ pub use dividends::{
 };
 pub use game::{check_zero_normalized_empty, CachedGame, CoalitionalGame, FnGame, TableGame};
 pub use interaction::{interaction_matrix, strongest_complements};
-pub use nucleolus::{nucleolus, try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
+pub use nucleolus::{try_nucleolus, NUCLEOLUS_MAX_PLAYERS};
 pub use owen::{owen_value, owen_value_normalized, quotient_game};
 pub use properties::{
     analyze, is_convex, is_essential, is_monotone, is_superadditive, GameProperties,

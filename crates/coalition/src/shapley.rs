@@ -214,11 +214,11 @@ mod tests {
 
     #[test]
     fn efficiency_axiom_on_random_table() {
-        let g = TableGame::from_fn(6, |c| {
+        let g = TableGame::try_from_fn(6, |c| {
             // Deterministic pseudo-random values.
             let x = c.0.wrapping_mul(0x9E3779B97F4A7C15);
             (x >> 40) as f64 / 1e3
-        });
+        }).expect("table fits");
         // Force V(∅)=0 for the axiom.
         let mut g = g;
         g.set(Coalition::EMPTY, 0.0);
@@ -228,7 +228,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let g = TableGame::from_fn(8, |c| (c.len() as f64).sqrt() * c.0 as f64 % 17.0);
+        let g = TableGame::try_from_fn(8, |c| (c.len() as f64).sqrt() * c.0 as f64 % 17.0)
+            .expect("table fits");
         let seq = shapley(&g);
         for threads in [1, 2, 3, 8, 64] {
             let par = shapley_parallel(&g, threads);

@@ -18,7 +18,8 @@
 //! * The optimum defines the **federation game** ([`FederationGame`]),
 //!   whose Shapley value (via `fedval-coalition`) is the paper's proposed
 //!   sharing rule; [`sharing`] also provides the proportional (eq. 6),
-//!   consumption-based (eq. 7), equal, and nucleolus alternatives.
+//!   consumption-based (eq. 7) and equal alternatives, and
+//!   [`FederationScenario`] the nucleolus.
 //! * The **P2P scenario** ([`p2p_allocate`]) shares value through allocation under
 //!   individual-rationality constraints (eq. 3).
 //!
@@ -33,10 +34,11 @@
 //!     paper_facilities([1, 1, 1]),
 //!     Demand::one_experiment(ExperimentClass::simple("measurement", 500.0, 1.0)),
 //! );
-//! let shapley = scenario.shapley_shares();
+//! let shapley = scenario.shapley_shares()?;
 //! let proportional = scenario.proportional_shares();
 //! assert!((shapley[1] - 2.0 / 13.0).abs() < 1e-12);
 //! assert!((proportional[1] - 4.0 / 13.0).abs() < 1e-12);
+//! # Ok::<(), fedval_coalition::CoalitionError>(())
 //! ```
 
 pub mod allocation;

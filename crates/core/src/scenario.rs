@@ -6,7 +6,7 @@ use crate::facility::Facility;
 use crate::sharing;
 use crate::value::FederationGame;
 use fedval_coalition::{
-    analyze, is_core_nonempty, least_core, nucleolus, shapley, shapley_auto_wide, shapley_parallel,
+    analyze, is_core_nonempty, shapley, shapley_auto_wide, shapley_parallel, try_nucleolus,
     ApproxConfig, AsWide, Coalition, CoalitionError, CoalitionalGame, GameProperties,
     ShapleyEstimate, TableGame,
 };
@@ -100,24 +100,6 @@ impl FederationScenario {
     /// closed-form model. The facilities still drive the proportional and
     /// consumption benchmarks; the game queries use `game` as-is.
     ///
-    /// # Panics
-    /// Panics where [`FederationScenario::try_from_measured`] would return
-    /// an error: the table's player count differs from the facility count.
-    pub fn from_measured(
-        facilities: Vec<Facility>,
-        demand: Demand,
-        game: TableGame,
-    ) -> FederationScenario {
-        match FederationScenario::try_from_measured(facilities, demand, game) {
-            Ok(s) => s,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper; fallible callers use the try_ variant instead.
-            Err(e) => panic!("FederationScenario::from_measured: {e}"),
-        }
-    }
-
-    /// Fallible form of [`FederationScenario::from_measured`].
-    ///
     /// # Errors
     /// [`PlayerCountMismatch`] when the measured table's player count differs
     /// from the facility count.
@@ -175,23 +157,8 @@ impl FederationScenario {
         &self.cost
     }
 
-    /// The materialized coalition-value table.
-    ///
-    /// # Panics
-    /// Panics where [`FederationScenario::try_game`] would return an error
-    /// (more facilities than a dense table supports).
-    pub fn game(&self) -> &TableGame {
-        match self.try_game() {
-            Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // accessor for the paper's n ≤ 3 scenarios; fallible callers use
-            // try_game.
-            Err(e) => panic!("FederationScenario::game: {e}"),
-        }
-    }
-
-    /// Fallible form of [`FederationScenario::game`]: materializes the
-    /// coalition-value table on first call and caches it.
+    /// The coalition-value table, materialized on first call and cached.
+    /// Every table-backed query below goes through it.
     ///
     /// # Errors
     /// [`CoalitionError::TooManyPlayers`] when the facility count exceeds
@@ -206,19 +173,25 @@ impl FederationScenario {
             let _span = fedval_obs::span_with("core.scenario.table_build", || {
                 format!("n={}", self.facilities().len())
             });
-            self.game.try_table()?
+            TableGame::try_from_game(&self.game)?
         };
         Ok(self.table.get_or_init(|| built))
     }
 
     /// `V(S)` for an explicit coalition.
-    pub fn value(&self, coalition: Coalition) -> f64 {
-        self.game().value(coalition)
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game).
+    pub fn value(&self, coalition: Coalition) -> Result<f64, CoalitionError> {
+        Ok(self.try_game()?.value(coalition))
     }
 
     /// `V(N)` — total value to share.
-    pub fn grand_value(&self) -> f64 {
-        self.game().grand_value()
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game).
+    pub fn grand_value(&self) -> Result<f64, CoalitionError> {
+        Ok(self.try_game()?.grand_value())
     }
 
     /// Normalized Shapley shares ϕ̂ (eq. 5).
@@ -227,18 +200,21 @@ impl FederationScenario {
     /// says. Runs on the calling thread at one thread, on
     /// [`threads`](FederationScenario::threads) workers otherwise; the
     /// result is bit-identical for every thread count.
-    pub fn shapley_shares(&self) -> Vec<f64> {
-        let game = self.game();
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game).
+    pub fn shapley_shares(&self) -> Result<Vec<f64>, CoalitionError> {
+        let game = self.try_game()?;
         let phi = if self.threads > 1 {
             shapley_parallel(game, self.threads)
         } else {
             shapley(game)
         };
-        ShapleyEstimate::Exact {
+        Ok(ShapleyEstimate::Exact {
             phi,
             grand_value: game.grand_value(),
         }
-        .shares()
+        .shares())
     }
 
     /// Shapley values through the solver-selection layer: exact unless
@@ -248,7 +224,7 @@ impl FederationScenario {
     /// `TooManyPlayers` error.
     ///
     /// Uses the measured table when one was supplied
-    /// ([`from_measured`](FederationScenario::from_measured)), the lazily
+    /// ([`try_from_measured`](FederationScenario::try_from_measured)), the lazily
     /// cached closed-form table below the cap, and the un-materialized
     /// wide federation game above it. Sampling parameters come from
     /// [`with_approx`](FederationScenario::with_approx); results are
@@ -284,37 +260,48 @@ impl FederationScenario {
     }
 
     /// Nucleolus shares (allocation / V(N)).
-    pub fn nucleolus_shares(&self) -> Vec<f64> {
-        let grand = self.grand_value();
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game), plus
+    /// [`try_nucleolus`]'s errors (above
+    /// [`NUCLEOLUS_MAX_PLAYERS`](fedval_coalition::NUCLEOLUS_MAX_PLAYERS)
+    /// facilities, or a malformed LP).
+    pub fn nucleolus_shares(&self) -> Result<Vec<f64>, CoalitionError> {
+        let game = self.try_game()?;
+        let grand = game.grand_value();
         if grand.abs() < 1e-12 {
-            return vec![0.0; self.facilities().len()];
+            return Ok(vec![0.0; self.facilities().len()]);
         }
-        nucleolus(self.game())
-            .into_iter()
-            .map(|v| v / grand)
-            .collect()
+        Ok(try_nucleolus(game)?.into_iter().map(|v| v / grand).collect())
     }
 
     /// Structural properties of the induced game (superadditivity,
     /// convexity, …) — §3.2.1's core-existence diagnostics.
-    pub fn properties(&self) -> GameProperties {
-        analyze(self.game(), 1e-7)
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game).
+    pub fn properties(&self) -> Result<GameProperties, CoalitionError> {
+        Ok(analyze(self.try_game()?, 1e-7))
     }
 
     /// Whether the core is non-empty.
-    pub fn core_nonempty(&self) -> bool {
-        is_core_nonempty(self.game())
-    }
-
-    /// Least-core relaxation ε\* and one least-core allocation.
-    pub fn least_core(&self) -> fedval_coalition::LeastCore {
-        least_core(self.game())
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game), plus
+    /// [`try_least_core`](fedval_coalition::try_least_core)'s errors (above
+    /// [`LEAST_CORE_MAX_PLAYERS`](fedval_coalition::LEAST_CORE_MAX_PLAYERS)
+    /// facilities, or a malformed LP).
+    pub fn core_nonempty(&self) -> Result<bool, CoalitionError> {
+        is_core_nonempty(self.try_game()?)
     }
 
     /// Monetary payoff vector for a normalized share vector.
-    pub fn payoffs(&self, shares: &[f64]) -> Vec<f64> {
-        let v = self.grand_value();
-        shares.iter().map(|s| s * v).collect()
+    ///
+    /// # Errors
+    /// As [`try_game`](FederationScenario::try_game).
+    pub fn payoffs(&self, shares: &[f64]) -> Result<Vec<f64>, CoalitionError> {
+        let v = self.grand_value()?;
+        Ok(shares.iter().map(|s| s * v).collect())
     }
 }
 
@@ -334,19 +321,37 @@ mod tests {
     #[test]
     fn scenario_round_trip() {
         let s = worked_example();
-        assert_eq!(s.grand_value(), 1300.0);
-        let phi = s.shapley_shares();
+        assert_eq!(s.grand_value().expect("n = 3"), 1300.0);
+        let phi = s.shapley_shares().expect("n = 3");
         assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12);
+        assert!((phi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let pi = s.proportional_shares();
         assert!((pi[1] - 4.0 / 13.0).abs() < 1e-12);
-        let payoffs = s.payoffs(&phi);
+        let payoffs = s.payoffs(&phi).expect("n = 3");
         assert!((payoffs.iter().sum::<f64>() - 1300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nucleolus_shares_equal_when_only_grand_coalition_works() {
+        // l = 1250: only the grand coalition can serve; the nucleolus (like
+        // Shapley) splits equally — the paper's "in the grand coalition all
+        // facilities receive an equal share even if their resource
+        // contributions are very different!".
+        let s = FederationScenario::new(
+            paper_facilities([1, 1, 1]),
+            Demand::one_experiment(ExperimentClass::simple("e", 1250.0, 1.0)),
+        );
+        let nu = s.nucleolus_shares().expect("n = 3");
+        let phi = s.shapley_shares().expect("n = 3");
+        for v in nu.iter().chain(&phi) {
+            assert!((v - 1.0 / 3.0).abs() < 1e-9, "{v}");
+        }
     }
 
     #[test]
     fn properties_of_worked_example() {
         let s = worked_example();
-        let p = s.properties();
+        let p = s.properties().expect("n = 3");
         assert!(p.superadditive);
         assert!(p.monotone);
         assert!(p.essential);
@@ -355,19 +360,20 @@ mod tests {
     #[test]
     fn measured_scenarios_use_the_supplied_table() {
         let closed_form = worked_example();
-        let table = closed_form.game().clone();
-        let measured = FederationScenario::from_measured(
+        let table = closed_form.try_game().expect("n = 3").clone();
+        let measured = FederationScenario::try_from_measured(
             paper_facilities([1, 1, 1]),
             Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
             table,
-        );
-        assert_eq!(measured.grand_value(), 1300.0);
+        )
+        .expect("player counts match");
+        assert_eq!(measured.grand_value(), Ok(1300.0));
         assert_eq!(measured.shapley_shares(), closed_form.shapley_shares());
         // Mismatched player counts are rejected, not ground through.
         let bad = FederationScenario::try_from_measured(
             paper_facilities([1, 1, 1]),
             Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0)),
-            TableGame::from_fn(2, |_| 0.0),
+            TableGame::try_from_fn(2, |_| 0.0).expect("table fits"),
         );
         assert_eq!(
             bad.err(),
@@ -381,16 +387,16 @@ mod tests {
     #[test]
     fn table_is_cached() {
         let s = worked_example();
-        let a = s.game() as *const _;
-        let b = s.game() as *const _;
+        let a = s.try_game().expect("n = 3") as *const _;
+        let b = s.try_game().expect("n = 3") as *const _;
         assert_eq!(a, b);
     }
 
     #[test]
     fn threads_do_not_change_shares() {
-        let sequential = worked_example().shapley_shares();
+        let sequential = worked_example().shapley_shares().expect("n = 3");
         for t in [2, 4, 8] {
-            let parallel = worked_example().with_threads(t).shapley_shares();
+            let parallel = worked_example().with_threads(t).shapley_shares().expect("n = 3");
             assert_eq!(sequential, parallel, "t={t} must be bit-identical");
         }
         // threads=0 is clamped to 1, not a panic.
@@ -408,7 +414,7 @@ mod tests {
             ShapleyEstimate::Approx(_) => panic!("n=3 must select exact"),
         }
         let shares = s.shapley_estimate().expect("shares").shares();
-        assert_eq!(shares, s.shapley_shares());
+        assert_eq!(Ok(shares), s.shapley_shares());
     }
 
     #[test]
@@ -454,6 +460,9 @@ mod tests {
         );
         let err = s.try_game().expect_err("26 facilities must not materialize");
         assert!(matches!(err, CoalitionError::TooManyPlayers { n: 26, .. }));
+        // Every table-backed query reports the same error.
+        assert_eq!(s.grand_value(), Err(err.clone()));
+        assert_eq!(s.shapley_shares(), Err(err));
         // Non-enumerating benchmarks keep working on the same scenario.
         let pi = s.proportional_shares();
         assert_eq!(pi.len(), 26);

@@ -10,7 +10,7 @@ use crate::experiment::Demand;
 use crate::facility::{Facility, ProfileBuilder, ProfileIndex};
 use crate::location::CapacityProfile;
 use fedval_coalition::approx::WideGame;
-use fedval_coalition::{Coalition, CoalitionError, CoalitionalGame, PlayerId, TableGame};
+use fedval_coalition::{Coalition, CoalitionalGame, PlayerId};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
@@ -21,8 +21,9 @@ use std::sync::OnceLock;
 /// profile. The profile comes from a [`ProfileIndex`] built on the first
 /// evaluation and kept for the game's lifetime: with pairwise-disjoint
 /// offers it is a sum of per-facility histograms, otherwise a location
-/// merge. For repeated solution-concept computations, call
-/// [`FederationGame::table`] once and use the materialized game.
+/// merge. For repeated solution-concept computations, materialize it once
+/// with [`TableGame::try_from_game`](fedval_coalition::TableGame::try_from_game)
+/// and use the table.
 ///
 /// The game either borrows its facilities and demand
 /// ([`FederationGame::new`]) or owns them ([`FederationGame::owned`], the
@@ -120,30 +121,6 @@ impl<'a> FederationGame<'a> {
             Err(e) => panic!("FederationGame: unsupported demand: {e}"),
         }
     }
-
-    /// Materializes all `2^n` coalition values into a [`TableGame`].
-    ///
-    /// # Panics
-    /// Panics where [`FederationGame::try_table`] would return an error
-    /// (more than [`TableGame::MAX_PLAYERS`] facilities).
-    pub fn table(&self) -> TableGame {
-        match self.try_table() {
-            Ok(table) => table,
-            // lint: allow(no-panic-path) — documented `# Panics` convenience
-            // wrapper for the paper's n ≤ 3 scenarios; fallible callers use
-            // try_table.
-            Err(e) => panic!("FederationGame::table: {e}"),
-        }
-    }
-
-    /// Fallible form of [`FederationGame::table`].
-    ///
-    /// # Errors
-    /// [`CoalitionError::TooManyPlayers`](fedval_coalition::CoalitionError)
-    /// when the facility count exceeds what a dense table supports.
-    pub fn try_table(&self) -> Result<TableGame, CoalitionError> {
-        TableGame::try_from_game(self)
-    }
 }
 
 impl CoalitionalGame for FederationGame<'_> {
@@ -199,7 +176,7 @@ mod tests {
     use super::*;
     use crate::experiment::ExperimentClass;
     use crate::facility::paper_facilities;
-    use fedval_coalition::{shapley_normalized, Coalition};
+    use fedval_coalition::{shapley_normalized, Coalition, TableGame};
 
     #[test]
     fn worked_example_values_and_shapley() {
@@ -216,7 +193,7 @@ mod tests {
         assert_eq!(game.value(Coalition::from_players([1, 2])), 1200.0);
         assert_eq!(game.grand_value(), 1300.0);
 
-        let table = game.table();
+        let table = TableGame::try_from_game(&game).expect("table fits");
         let phi_hat = shapley_normalized(&table);
         assert!((phi_hat[1] - 2.0 / 13.0).abs() < 1e-12);
     }
@@ -227,7 +204,7 @@ mod tests {
         let facilities = paper_facilities([1, 1, 1]);
         let demand = Demand::one_experiment(ExperimentClass::simple("e", 0.0, 1.0));
         let game = FederationGame::new(&facilities, &demand);
-        let phi_hat = shapley_normalized(&game.table());
+        let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("table fits"));
         assert!((phi_hat[0] - 100.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[1] - 400.0 / 1300.0).abs() < 1e-9);
         assert!((phi_hat[2] - 800.0 / 1300.0).abs() < 1e-9);

@@ -8,10 +8,11 @@
 
 use fedval_coalition::ApproxConfig;
 use fedval_form::{ChurnSchedule, FormationConfig, FormationEngine, FormationGame};
-use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
+use fedval_obs::{is_broken_pipe, CliObservability};
 use fedval_policy::try_policy_report;
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Options {
     n: usize,
@@ -121,6 +122,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.round_dt = value
                     .parse()
                     .map_err(|_| format!("bad --round-dt: {value}"))?;
+                if !(opts.round_dt >= 0.0 && opts.round_dt.is_finite()) {
+                    return Err(format!("--round-dt: need a finite T >= 0, got {value}"));
+                }
             }
             "--pair-budget" => {
                 opts.pair_budget = value
@@ -166,29 +170,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Wires `--trace`/`--metrics` sinks, mirroring the `fedval` CLI.
-fn install_observability(opts: &Options) -> Result<Option<RecordingSink>, String> {
-    let recording = opts.metrics.then(RecordingSink::new);
-    let file = match &opts.trace {
-        Some(path) => Some(FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?),
-        None => None,
-    };
-    let sink: Option<Arc<dyn Sink>> = match (file, recording.clone()) {
-        (Some(f), Some(r)) => Some(Arc::new(TeeSink::new(f, r))),
-        (Some(f), None) => Some(Arc::new(f)),
-        (None, Some(r)) => Some(Arc::new(r)),
-        (None, None) => None,
-    };
-    if let Some(sink) = sink {
-        fedval_obs::install(sink);
-    }
-    Ok(recording)
-}
-
-fn run() -> Result<(), String> {
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
-    let recording = install_observability(&opts)?;
+    let obs = CliObservability::install(opts.trace.as_deref(), opts.metrics)?;
 
     let n = opts.n;
     let initial = opts.initial.unwrap_or(n.div_ceil(2)).min(n);
@@ -211,7 +196,8 @@ fn run() -> Result<(), String> {
         ..FormationConfig::default()
     };
 
-    println!(
+    writeln!(
+        out,
         "fedform: n={n} scenario-seed={} seed={} rounds<={} round-dt={} pair-budget={} \
 split-budget={} neutral-budget={} initial={initial} departures={departures}",
         opts.scenario_seed,
@@ -221,10 +207,10 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
         opts.pair_budget,
         opts.split_budget,
         opts.neutral_budget,
-    );
+    )?;
     let engine = FormationEngine::new(&game, cfg);
     let outcome = engine.run(&schedule);
-    print!("{}", outcome.render());
+    write!(out, "{}", outcome.render())?;
 
     if opts.report {
         // Force the enumeration-free report path: formation targets
@@ -240,32 +226,41 @@ split-budget={} neutral-budget={} initial={initial} departures={departures}",
         let report = try_policy_report(&scenario)
             .map_err(|e| format!("fedform: policy report unavailable: {e}"))?
             .with_formation(outcome.policy_section());
-        print!("{}", report.render());
+        write!(out, "{}", report.render())?;
     }
 
     if opts.metrics {
         let (hits, misses) = engine.cache_stats();
         eprintln!("fedform: value cache hits={hits} misses={misses}");
     }
-    let fold = (opts.trace.is_some() || opts.metrics).then(fedval_obs::metrics_fold);
-    if fold.is_some() {
-        fedval_obs::shutdown();
+    if let Some(report) = obs.finish() {
+        eprint!("{report}");
     }
-    if let (Some(recording), Some(fold)) = (recording, fold) {
-        eprint!(
-            "{}",
-            RunReport::from_parts(&fold, &recording.records()).render()
-        );
-    }
-    Ok(())
+    Ok(out.flush()?)
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(&mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if is_broken_pipe(e.as_ref()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_rejects_bad_round_dt() {
+        let round_dt = |v: &str| parse(&["--round-dt".into(), v.into()]).map(|o| o.round_dt);
+        assert_eq!(round_dt("2.5"), Ok(2.5));
+        assert_eq!(round_dt("0"), Ok(0.0));
+        for bad in ["-1", "nan", "inf", "x"] {
+            assert!(round_dt(bad).is_err_and(|e| e.contains("--round-dt")), "{bad}");
         }
     }
 }

@@ -55,6 +55,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cli;
 mod histogram;
 pub mod lockorder;
 mod record;
@@ -64,6 +65,7 @@ mod shard;
 mod sink;
 mod snapshot;
 
+pub use cli::{is_broken_pipe, CliObservability};
 pub use histogram::{bucket_index, bucket_labels, Histogram, BUCKET_BOUNDS_NS, BUCKET_COUNT};
 pub use lockorder::{OrderedMutex, OrderedRwLock};
 pub use record::{escape_json, json_f64, Record};

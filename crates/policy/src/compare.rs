@@ -1,7 +1,7 @@
 //! Scheme comparison metrics: stability, incentive alignment, distance.
 
 use crate::scheme::SharingScheme;
-use fedval_coalition::{excess, is_in_core, Coalition, CoalitionalGame};
+use fedval_coalition::{excess, is_in_core, Coalition, CoalitionError, CoalitionalGame, TableGame};
 use fedval_core::FederationScenario;
 
 /// How one scheme behaves on one scenario.
@@ -21,70 +21,73 @@ pub struct SchemeAssessment {
 }
 
 /// Assesses the τ-value (Tijs) alongside the schemes, when the game is
-/// quasi-balanced; returns `None` otherwise.
-pub fn assess_tau(scenario: &FederationScenario) -> Option<SchemeAssessment> {
-    let game = scenario.game();
+/// quasi-balanced; returns `Ok(None)` otherwise.
+///
+/// # Errors
+/// The scenario's table and core-emptiness errors (see
+/// [`FederationScenario::core_nonempty`]).
+pub fn assess_tau(
+    scenario: &FederationScenario,
+) -> Result<Option<SchemeAssessment>, CoalitionError> {
+    let game = scenario.try_game()?;
     let grand = game.grand_value();
-    let payoffs = fedval_coalition::tau_value(game)?;
+    let Some(payoffs) = fedval_coalition::tau_value(game) else {
+        return Ok(None);
+    };
     let shares: Vec<f64> = if grand.abs() < 1e-12 {
         vec![0.0; payoffs.len()]
     } else {
         payoffs.iter().map(|p| p / grand).collect()
     };
-    let n = game.n_players();
-    let grand_c = Coalition::grand(n);
-    let max_excess = Coalition::all(n)
-        .filter(|&s| !s.is_empty() && s != grand_c)
-        .map(|s| excess(game, &payoffs, s))
-        .fold(f64::NEG_INFINITY, f64::max);
     let pi = scenario.proportional_shares();
-    Some(SchemeAssessment {
-        scheme: "tau".to_string(),
-        shares: shares.clone(),
-        in_core: scenario
-            .core_nonempty()
-            .then(|| is_in_core(game, &payoffs, 1e-7)),
-        max_excess,
-        distance_from_proportional: shares
-            .iter()
-            .zip(&pi)
-            .map(|(a, b)| (a - b).abs())
-            .sum(),
-    })
+    let core_nonempty = scenario.core_nonempty()?;
+    Ok(Some(assess("tau", game, &shares, &payoffs, core_nonempty, &pi)))
 }
 
 /// Assesses every given scheme on a scenario.
+///
+/// # Errors
+/// The first error of [`FederationScenario::core_nonempty`] or of any
+/// scheme's [`SharingScheme::payoffs`].
 pub fn compare_schemes(
     scenario: &FederationScenario,
     schemes: &[SharingScheme],
-) -> Vec<SchemeAssessment> {
-    let game = scenario.game();
-    let core_nonempty = scenario.core_nonempty();
+) -> Result<Vec<SchemeAssessment>, CoalitionError> {
+    let game = scenario.try_game()?;
+    let core_nonempty = scenario.core_nonempty()?;
     let pi = scenario.proportional_shares();
     schemes
         .iter()
         .map(|scheme| {
-            let shares = scheme.shares(scenario);
-            let payoffs = scenario.payoffs(&shares);
-            let n = game.n_players();
-            let grand = Coalition::grand(n);
-            let max_excess = Coalition::all(n)
-                .filter(|&s| !s.is_empty() && s != grand)
-                .map(|s| excess(game, &payoffs, s))
-                .fold(f64::NEG_INFINITY, f64::max);
-            SchemeAssessment {
-                scheme: scheme.name().to_string(),
-                shares: shares.clone(),
-                in_core: core_nonempty.then(|| is_in_core(game, &payoffs, 1e-7)),
-                max_excess,
-                distance_from_proportional: shares
-                    .iter()
-                    .zip(&pi)
-                    .map(|(a, b)| (a - b).abs())
-                    .sum(),
-            }
+            let shares = scheme.shares(scenario)?;
+            let payoffs = scenario.payoffs(&shares)?;
+            Ok(assess(scheme.name(), game, &shares, &payoffs, core_nonempty, &pi))
         })
         .collect()
+}
+
+/// One scheme's assessment from its shares and monetary payoffs.
+fn assess(
+    scheme: &str,
+    game: &TableGame,
+    shares: &[f64],
+    payoffs: &[f64],
+    core_nonempty: bool,
+    pi: &[f64],
+) -> SchemeAssessment {
+    let n = game.n_players();
+    let grand = Coalition::grand(n);
+    let max_excess = Coalition::all(n)
+        .filter(|&s| !s.is_empty() && s != grand)
+        .map(|s| excess(game, payoffs, s))
+        .fold(f64::NEG_INFINITY, f64::max);
+    SchemeAssessment {
+        scheme: scheme.to_string(),
+        shares: shares.to_vec(),
+        in_core: core_nonempty.then(|| is_in_core(game, payoffs, 1e-7)),
+        max_excess,
+        distance_from_proportional: shares.iter().zip(pi).map(|(a, b)| (a - b).abs()).sum(),
+    }
 }
 
 #[cfg(test)]
@@ -102,7 +105,7 @@ mod tests {
     #[test]
     fn tau_assessment_on_worked_example() {
         let s = scenario(500.0);
-        let tau = assess_tau(&s).expect("quasi-balanced");
+        let tau = assess_tau(&s).expect("n = 3").expect("quasi-balanced");
         assert_eq!(tau.scheme, "tau");
         let total: f64 = tau.shares.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -113,16 +116,17 @@ mod tests {
     #[test]
     fn proportional_has_zero_self_distance() {
         let s = scenario(500.0);
-        let a = compare_schemes(&s, &[SharingScheme::Proportional]);
+        let a = compare_schemes(&s, &[SharingScheme::Proportional]).expect("n = 3");
         assert!(a[0].distance_from_proportional.abs() < 1e-12);
     }
 
     #[test]
     fn shapley_departs_from_proportional_at_positive_threshold() {
         // The paper's headline: thresholds make ϕ̂ ≠ π̂.
-        let with_threshold = compare_schemes(&scenario(500.0), &[SharingScheme::Shapley]);
+        let with_threshold =
+            compare_schemes(&scenario(500.0), &[SharingScheme::Shapley]).expect("n = 3");
         assert!(with_threshold[0].distance_from_proportional > 0.1);
-        let without = compare_schemes(&scenario(0.0), &[SharingScheme::Shapley]);
+        let without = compare_schemes(&scenario(0.0), &[SharingScheme::Shapley]).expect("n = 3");
         assert!(without[0].distance_from_proportional < 1e-9);
     }
 
@@ -130,8 +134,8 @@ mod tests {
     fn nucleolus_is_in_core_when_core_nonempty() {
         // l = 1250: only the grand coalition works; core non-empty.
         let s = scenario(1250.0);
-        assert!(s.core_nonempty());
-        let a = compare_schemes(&s, &[SharingScheme::Nucleolus]);
+        assert!(s.core_nonempty().expect("n = 3"));
+        let a = compare_schemes(&s, &[SharingScheme::Nucleolus]).expect("n = 3");
         assert_eq!(a[0].in_core, Some(true));
         assert!(a[0].max_excess <= 1e-7);
     }
@@ -142,7 +146,7 @@ mod tests {
         // …actually ≥ V({3}) = 800. Equal split gives 433: coalition {3}
         // has positive excess.
         let s = scenario(500.0);
-        let a = compare_schemes(&s, &[SharingScheme::Equal]);
+        let a = compare_schemes(&s, &[SharingScheme::Equal]).expect("n = 3");
         assert!(a[0].max_excess > 0.0);
         if let Some(in_core) = a[0].in_core {
             assert!(!in_core);

@@ -8,6 +8,7 @@
 //! point search, implemented here.
 
 use crate::scheme::SharingScheme;
+use fedval_coalition::CoalitionError;
 use fedval_core::{CostModel, Demand, Facility, FederationScenario};
 
 /// Result of the best-response dynamics.
@@ -30,6 +31,10 @@ pub struct Equilibrium {
 ///
 /// Facilities update in round-robin order to the strategy maximizing
 /// `share_i·V(N) − provision_cost`, until no one moves.
+///
+/// # Errors
+/// The first [`SharingScheme::payoffs`] error over the strategy profiles
+/// visited.
 pub fn best_response_dynamics(
     grid: &[Vec<u32>],
     make_facility: &dyn Fn(usize, u32) -> Facility,
@@ -37,18 +42,18 @@ pub fn best_response_dynamics(
     scheme: &SharingScheme,
     cost: &CostModel,
     max_sweeps: usize,
-) -> Equilibrium {
+) -> Result<Equilibrium, CoalitionError> {
     let n = grid.len();
     assert!(n > 0 && grid.iter().all(|g| !g.is_empty()));
     let mut strategy: Vec<usize> = vec![0; n];
 
-    let net_payoff = |strategy: &[usize], i: usize| -> f64 {
+    let net_payoff = |strategy: &[usize], i: usize| -> Result<f64, CoalitionError> {
         let facilities: Vec<Facility> = (0..n)
             .map(|j| make_facility(j, grid[j][strategy[j]]))
             .collect();
         let provision = cost.provision_cost(&facilities[i]);
         let scenario = FederationScenario::new(facilities, demand.clone());
-        scheme.payoffs(&scenario)[i] - provision
+        Ok(scheme.payoffs(&scenario)?[i] - provision)
     };
 
     let mut converged = false;
@@ -57,14 +62,14 @@ pub fn best_response_dynamics(
         sweeps += 1;
         let mut moved = false;
         for i in 0..n {
-            let mut best = (strategy[i], net_payoff(&strategy, i));
+            let mut best = (strategy[i], net_payoff(&strategy, i)?);
             for cand in 0..grid[i].len() {
                 if cand == strategy[i] {
                     continue;
                 }
                 let mut trial = strategy.clone();
                 trial[i] = cand;
-                let v = net_payoff(&trial, i);
+                let v = net_payoff(&trial, i)?;
                 if v > best.1 + 1e-9 {
                     best = (cand, v);
                 }
@@ -80,13 +85,15 @@ pub fn best_response_dynamics(
         }
     }
 
-    let net_payoffs: Vec<f64> = (0..n).map(|i| net_payoff(&strategy, i)).collect();
-    Equilibrium {
+    let net_payoffs = (0..n)
+        .map(|i| net_payoff(&strategy, i))
+        .collect::<Result<Vec<f64>, _>>()?;
+    Ok(Equilibrium {
         strategy,
         net_payoffs,
         converged,
         iterations: sweeps,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -117,7 +124,8 @@ mod tests {
             &SharingScheme::Proportional,
             &free,
             20,
-        );
+        )
+        .expect("n = 2");
         assert!(eq.converged);
         assert_eq!(eq.strategy, vec![2, 2], "both provision maximally");
     }
@@ -139,7 +147,8 @@ mod tests {
             &SharingScheme::Proportional,
             &expensive,
             20,
-        );
+        )
+        .expect("n = 2");
         assert!(eq.converged);
         assert_eq!(eq.strategy, vec![0, 0]);
     }
@@ -165,7 +174,8 @@ mod tests {
             &SharingScheme::Equal,
             &cost,
             20,
-        );
+        )
+        .expect("n = 2");
         let proportional = best_response_dynamics(
             &grid,
             &make_facility,
@@ -173,7 +183,8 @@ mod tests {
             &SharingScheme::Proportional,
             &cost,
             20,
-        );
+        )
+        .expect("n = 2");
         assert!(equal.converged && proportional.converged);
         let equal_total: u32 = equal.strategy.iter().map(|&s| grid[0][s]).sum();
         let prop_total: u32 = proportional.strategy.iter().map(|&s| grid[0][s]).sum();

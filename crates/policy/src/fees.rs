@@ -12,6 +12,7 @@
 //! status quo sits from each.
 
 use crate::scheme::SharingScheme;
+use fedval_coalition::CoalitionError;
 use fedval_core::FederationScenario;
 use serde::{Deserialize, Serialize};
 
@@ -44,44 +45,54 @@ impl FeePool {
 
     /// Pool everything and redistribute by `scheme` on the scenario's
     /// federation game.
-    pub fn redistribute(&self, scenario: &FederationScenario, scheme: &SharingScheme) -> Vec<f64> {
+    ///
+    /// # Errors
+    /// As [`SharingScheme::shares`].
+    pub fn redistribute(
+        &self,
+        scenario: &FederationScenario,
+        scheme: &SharingScheme,
+    ) -> Result<Vec<f64>, CoalitionError> {
         assert_eq!(self.collected.len(), scenario.facilities().len());
-        let shares = scheme.shares(scenario);
+        let shares = scheme.shares(scenario)?;
         let total = self.total();
-        shares.into_iter().map(|s| s * total).collect()
+        Ok(shares.into_iter().map(|s| s * total).collect())
     }
 
     /// Per-authority transfer the redistribution implies relative to the
     /// status quo (positive = receives, negative = pays in).
+    ///
+    /// # Errors
+    /// As [`SharingScheme::shares`].
     pub fn transfers(
         &self,
         scenario: &FederationScenario,
         scheme: &SharingScheme,
-    ) -> Vec<f64> {
-        self.redistribute(scenario, scheme)
+    ) -> Result<Vec<f64>, CoalitionError> {
+        Ok(self
+            .redistribute(scenario, scheme)?
             .iter()
             .zip(&self.collected)
             .map(|(r, c)| r - c)
-            .collect()
+            .collect())
     }
 
     /// L1 distance between the status quo and the scheme's distribution,
     /// normalized by the pool total (0 = status quo already implements the
     /// scheme; 2 = maximal disagreement).
+    ///
+    /// # Errors
+    /// As [`SharingScheme::shares`].
     pub fn status_quo_distance(
         &self,
         scenario: &FederationScenario,
         scheme: &SharingScheme,
-    ) -> f64 {
+    ) -> Result<f64, CoalitionError> {
         let total = self.total();
         if total <= 0.0 {
-            return 0.0;
+            return Ok(0.0);
         }
-        self.transfers(scenario, scheme)
-            .iter()
-            .map(|t| t.abs())
-            .sum::<f64>()
-            / total
+        Ok(self.transfers(scenario, scheme)?.iter().map(|t| t.abs()).sum::<f64>() / total)
     }
 }
 
@@ -102,14 +113,14 @@ mod tests {
         // Google subscribes through PLC: PLC collects everything.
         let pool = FeePool::new(vec![1300.0, 0.0, 0.0]);
         for scheme in SharingScheme::all_builtin() {
-            let dist = pool.redistribute(&scenario(), &scheme);
+            let dist = pool.redistribute(&scenario(), &scheme).expect("n = 3");
             let total: f64 = dist.iter().sum();
             assert!(
                 (total - 1300.0).abs() < 1e-9,
                 "{} leaks fees: {total}",
                 scheme.name()
             );
-            let transfers: f64 = pool.transfers(&scenario(), &scheme).iter().sum();
+            let transfers: f64 = pool.transfers(&scenario(), &scheme).expect("n = 3").iter().sum();
             assert!(transfers.abs() < 1e-9, "transfers must net to zero");
         }
     }
@@ -120,10 +131,10 @@ mod tests {
         // facility 3 holds the diversity: Shapley sends 21/26 of the pool
         // to facility 3.
         let pool = FeePool::new(vec![2600.0, 0.0, 0.0]);
-        let dist = pool.redistribute(&scenario(), &SharingScheme::Shapley);
+        let dist = pool.redistribute(&scenario(), &SharingScheme::Shapley).expect("n = 3");
         assert!((dist[0] - 2600.0 / 26.0).abs() < 1e-9);
         assert!((dist[2] - 2600.0 * 21.0 / 26.0).abs() < 1e-9);
-        let transfers = pool.transfers(&scenario(), &SharingScheme::Shapley);
+        let transfers = pool.transfers(&scenario(), &SharingScheme::Shapley).expect("n = 3");
         assert!(transfers[0] < 0.0, "the collector pays in");
         assert!(transfers[2] > 0.0, "the contributor receives");
     }
@@ -132,18 +143,18 @@ mod tests {
     fn status_quo_distance_detects_alignment() {
         // If fees already arrive in Shapley proportion, distance is zero.
         let s = scenario();
-        let phi = s.shapley_shares();
+        let phi = s.shapley_shares().expect("n = 3");
         let aligned = FeePool::new(phi.iter().map(|p| p * 1000.0).collect());
-        assert!(aligned.status_quo_distance(&s, &SharingScheme::Shapley) < 1e-9);
+        assert!(aligned.status_quo_distance(&s, &SharingScheme::Shapley).expect("n = 3") < 1e-9);
         // Worst case: everything collected by the smallest contributor.
         let skewed = FeePool::new(vec![1000.0, 0.0, 0.0]);
-        assert!(skewed.status_quo_distance(&s, &SharingScheme::Shapley) > 1.5);
+        assert!(skewed.status_quo_distance(&s, &SharingScheme::Shapley).expect("n = 3") > 1.5);
     }
 
     #[test]
     fn empty_pool_is_harmless() {
         let pool = FeePool::new(vec![0.0; 3]);
         assert_eq!(pool.total(), 0.0);
-        assert_eq!(pool.status_quo_distance(&scenario(), &SharingScheme::Equal), 0.0);
+        assert_eq!(pool.status_quo_distance(&scenario(), &SharingScheme::Equal), Ok(0.0));
     }
 }

@@ -11,7 +11,7 @@
 
 use fedval_coalition::{
     owen_value_normalized, quotient_game, shapley_normalized, CachedGame, Coalition,
-    CoalitionalGame,
+    CoalitionError, CoalitionalGame,
 };
 use fedval_core::{Demand, Facility, FederationGame};
 
@@ -42,10 +42,16 @@ impl HierarchicalShares {
 /// total number of sites must be ≤ 16 (the Owen computation evaluates the
 /// site-level characteristic function `O(2^u · 2^b)` times per player).
 ///
+/// # Errors
+/// As [`quotient_game`].
+///
 /// # Panics
 /// Panics if there are no sites, more than 16, or the demand is not
 /// supported by the allocation optimizer.
-pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> HierarchicalShares {
+pub fn hierarchical_shapley(
+    site_groups: &[Vec<Facility>],
+    demand: &Demand,
+) -> Result<HierarchicalShares, CoalitionError> {
     let flat: Vec<Facility> = site_groups.iter().flatten().cloned().collect();
     let n = flat.len();
     assert!(n >= 1, "need at least one site");
@@ -66,7 +72,7 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
     let owen_hat = owen_value_normalized(&game, &unions);
     // The quotient's grand coalition is the union of every block, so its
     // V is this game's V(N).
-    let authority_shares = shapley_normalized(&quotient_game(&game, &unions));
+    let authority_shares = shapley_normalized(&quotient_game(&game, &unions)?);
 
     let mut site_shares = Vec::with_capacity(site_groups.len());
     let mut idx = 0usize;
@@ -75,11 +81,11 @@ pub fn hierarchical_shapley(site_groups: &[Vec<Facility>], demand: &Demand) -> H
         idx += group.len();
     }
 
-    HierarchicalShares {
+    Ok(HierarchicalShares {
         authority_shares,
         site_shares,
         grand_value,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -105,7 +111,7 @@ mod tests {
 
     #[test]
     fn quotient_consistency_between_levels() {
-        let h = hierarchical_shapley(&site_groups(), &demand());
+        let h = hierarchical_shapley(&site_groups(), &demand()).expect("few sites");
         for (a, group) in h.site_shares.iter().enumerate() {
             let site_total: f64 = group.iter().sum();
             assert!(
@@ -123,7 +129,7 @@ mod tests {
         // V: any coalition with > 9 locations. A-s1+A-s2 = 8 < 10;
         // B-s1 alone = 6 < 10; A(8)+B(6) = 14 ≥ 10. Every serving
         // coalition needs B plus at least one A-site.
-        let h = hierarchical_shapley(&site_groups(), &demand());
+        let h = hierarchical_shapley(&site_groups(), &demand()).expect("few sites");
         // Grand value = 14 (the experiment takes all locations).
         assert!((h.grand_value - 14.0).abs() < 1e-9);
         // B is pivotal as a union: its share must exceed A's per-capita.
@@ -137,7 +143,7 @@ mod tests {
 
     #[test]
     fn payoffs_scale_with_grand_value() {
-        let h = hierarchical_shapley(&site_groups(), &demand());
+        let h = hierarchical_shapley(&site_groups(), &demand()).expect("few sites");
         let total_payoff: f64 = (0..h.site_shares.len())
             .flat_map(|a| (0..h.site_shares[a].len()).map(move |s| (a, s)))
             .map(|(a, s)| h.site_payoff(a, s))
@@ -152,12 +158,13 @@ mod tests {
             Facility::uniform("s2", 3, 5, 1),
         ]];
         let d = Demand::one_experiment(ExperimentClass::simple("e", 4.0, 1.0));
-        let h = hierarchical_shapley(&groups, &d);
+        let h = hierarchical_shapley(&groups, &d).expect("few sites");
         assert!((h.authority_shares[0] - 1.0).abs() < 1e-9);
         let flat: Vec<Facility> = groups.concat();
-        let plain = fedval_coalition::shapley_normalized(&fedval_coalition::TableGame::from_game(
-            &FederationGame::new(&flat, &d),
-        ));
+        let plain = fedval_coalition::shapley_normalized(
+            &fedval_coalition::TableGame::try_from_game(&FederationGame::new(&flat, &d))
+                .expect("table fits"),
+        );
         for (a, b) in h.site_shares[0].iter().zip(&plain) {
             assert!((a - b).abs() < 1e-9);
         }

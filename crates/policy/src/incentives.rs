@@ -2,6 +2,7 @@
 //! to upgrading its contribution under different sharing schemes.
 
 use crate::scheme::SharingScheme;
+use fedval_coalition::CoalitionError;
 use fedval_core::{Demand, Facility, FederationScenario};
 
 /// One point of an incentive curve.
@@ -19,19 +20,22 @@ pub struct IncentivePoint {
 /// `make_facilities(level)` must return the full facility vector with the
 /// target's contribution set to `level` — the Fig. 9 sweep passes the
 /// paper's fixed `L₂ = 400, L₃ = 800` and varies `L₁`.
+///
+/// # Errors
+/// The first [`SharingScheme::payoffs`] error along the sweep.
 pub fn incentive_curve(
     make_facilities: &dyn Fn(u32) -> Vec<Facility>,
     demand: &Demand,
     scheme: &SharingScheme,
     target: usize,
     levels: &[u32],
-) -> Vec<IncentivePoint> {
+) -> Result<Vec<IncentivePoint>, CoalitionError> {
     levels
         .iter()
         .map(|&level| {
             let scenario = FederationScenario::new(make_facilities(level), demand.clone());
-            let payoff = scheme.payoffs(&scenario)[target];
-            IncentivePoint { level, payoff }
+            let payoff = scheme.payoffs(&scenario)?[target];
+            Ok(IncentivePoint { level, payoff })
         })
         .collect()
 }
@@ -79,7 +83,8 @@ mod tests {
             &SharingScheme::Proportional,
             0,
             &levels,
-        );
+        )
+        .expect("n = 3");
         // π₁ = 80·L₁ / (80·L₁ + 40000); payoff = π̂₁·V(N) and with l = 0,
         // V(N) = total slots, so payoff = 80·L₁ exactly.
         for p in &curve {
@@ -104,7 +109,8 @@ mod tests {
             &SharingScheme::Shapley,
             0,
             &levels,
-        );
+        )
+        .expect("n = 3");
         assert!(
             curve.last().unwrap().payoff > curve.first().unwrap().payoff,
             "more locations must eventually pay off: {curve:?}"
@@ -122,7 +128,8 @@ mod tests {
             &SharingScheme::Proportional,
             0,
             &levels,
-        );
+        )
+        .expect("n = 3");
         assert_eq!(marginal_payoffs(&curve).len(), 2);
     }
 }

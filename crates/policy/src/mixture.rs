@@ -9,6 +9,7 @@
 //! `SharingScheme::Fixed` input the paper recommends deriving off-line.
 
 use crate::scheme::SharingScheme;
+use fedval_coalition::CoalitionError;
 use fedval_core::{
     Demand, DemandComponent, ExperimentClass, Facility, FederationScenario, Volume,
 };
@@ -92,17 +93,20 @@ pub fn demand_from_mixture(
 
 /// The full pipeline: observations → mixture → Shapley weights at the
 /// fitted demand → a ready-to-install [`SharingScheme::Fixed`].
+///
+/// # Errors
+/// As [`FederationScenario::shapley_shares`].
 pub fn fitted_policy(
     facilities: &[Facility],
     categories: &[Category],
     observed_locations: &[u64],
     total_volume: u64,
-) -> (MixtureEstimate, SharingScheme) {
+) -> Result<(MixtureEstimate, SharingScheme), CoalitionError> {
     let estimate = classify_requests(observed_locations, categories);
     let demand = demand_from_mixture(categories, &estimate, total_volume);
     let scenario = FederationScenario::new(facilities.to_vec(), demand);
-    let weights = scenario.shapley_shares();
-    (estimate, SharingScheme::Fixed(weights))
+    let weights = scenario.shapley_shares()?;
+    Ok((estimate, SharingScheme::Fixed(weights)))
 }
 
 #[cfg(test)]
@@ -157,14 +161,16 @@ mod tests {
         let mostly_bulk: Vec<u64> = (0..40).map(|_| 10).chain((0..5).map(|_| 800)).collect();
         let mostly_diverse: Vec<u64> = (0..5).map(|_| 10).chain((0..40).map(|_| 800)).collect();
 
-        let (_, bulk_policy) = fitted_policy(&facilities, &categories(), &mostly_bulk, 60);
-        let (_, diverse_policy) = fitted_policy(&facilities, &categories(), &mostly_diverse, 60);
+        let (_, bulk_policy) =
+            fitted_policy(&facilities, &categories(), &mostly_bulk, 60).expect("n = 3");
+        let (_, diverse_policy) =
+            fitted_policy(&facilities, &categories(), &mostly_diverse, 60).expect("n = 3");
         let scenario = FederationScenario::new(
             facilities.clone(),
             Demand::one_experiment(ExperimentClass::simple("probe", 0.0, 1.0)),
         );
-        let bulk_shares = bulk_policy.shares(&scenario);
-        let diverse_shares = diverse_policy.shares(&scenario);
+        let bulk_shares = bulk_policy.shares(&scenario).expect("fixed");
+        let diverse_shares = diverse_policy.shares(&scenario).expect("fixed");
         assert!(
             diverse_shares[2] > bulk_shares[2],
             "diverse demand must raise facility 3's weight: {diverse_shares:?} vs {bulk_shares:?}"

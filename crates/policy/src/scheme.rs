@@ -1,5 +1,6 @@
 //! Sharing schemes as first-class policy objects.
 
+use fedval_coalition::CoalitionError;
 use fedval_core::FederationScenario;
 use serde::{Deserialize, Serialize};
 
@@ -36,26 +37,35 @@ impl SharingScheme {
 
     /// Normalized shares under this scheme for a scenario.
     ///
+    /// # Errors
+    /// The scenario's table-backed query errors for the Shapley and
+    /// nucleolus schemes (see [`FederationScenario::try_game`] and
+    /// [`FederationScenario::nucleolus_shares`]); the other schemes never
+    /// enumerate coalitions and never fail.
+    ///
     /// # Panics
     /// Panics if `Fixed` weights have the wrong length.
-    pub fn shares(&self, scenario: &FederationScenario) -> Vec<f64> {
+    pub fn shares(&self, scenario: &FederationScenario) -> Result<Vec<f64>, CoalitionError> {
         let n = scenario.facilities().len();
-        match self {
-            SharingScheme::Shapley => scenario.shapley_shares(),
+        Ok(match self {
+            SharingScheme::Shapley => scenario.shapley_shares()?,
             SharingScheme::Proportional => scenario.proportional_shares(),
             SharingScheme::Consumption => scenario.consumption_shares(),
-            SharingScheme::Nucleolus => scenario.nucleolus_shares(),
+            SharingScheme::Nucleolus => scenario.nucleolus_shares()?,
             SharingScheme::Equal => fedval_core::sharing::normalized(vec![1.0; n]),
             SharingScheme::Fixed(w) => {
                 assert_eq!(w.len(), n, "fixed weights length mismatch");
                 fedval_core::sharing::normalized(w.clone())
             }
-        }
+        })
     }
 
     /// Monetary payoffs `vᵢ = sᵢ·V(N)`.
-    pub fn payoffs(&self, scenario: &FederationScenario) -> Vec<f64> {
-        scenario.payoffs(&self.shares(scenario))
+    ///
+    /// # Errors
+    /// As [`SharingScheme::shares`], plus [`FederationScenario::payoffs`].
+    pub fn payoffs(&self, scenario: &FederationScenario) -> Result<Vec<f64>, CoalitionError> {
+        scenario.payoffs(&self.shares(scenario)?)
     }
 
     /// All built-in schemes, for sweep comparisons.
@@ -86,7 +96,7 @@ mod tests {
     fn every_builtin_scheme_sums_to_one() {
         let s = scenario();
         for scheme in SharingScheme::all_builtin() {
-            let shares = scheme.shares(&s);
+            let shares = scheme.shares(&s).expect("n = 3");
             let total: f64 = shares.iter().sum();
             assert!(
                 (total - 1.0).abs() < 1e-9,
@@ -99,8 +109,8 @@ mod tests {
     #[test]
     fn shapley_and_proportional_match_paper() {
         let s = scenario();
-        let phi = SharingScheme::Shapley.shares(&s);
-        let pi = SharingScheme::Proportional.shares(&s);
+        let phi = SharingScheme::Shapley.shares(&s).expect("n = 3");
+        let pi = SharingScheme::Proportional.shares(&s).expect("n = 3");
         assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12);
         assert!((pi[1] - 4.0 / 13.0).abs() < 1e-12);
     }
@@ -108,14 +118,14 @@ mod tests {
     #[test]
     fn fixed_weights_are_normalized() {
         let s = scenario();
-        let shares = SharingScheme::Fixed(vec![2.0, 2.0, 4.0]).shares(&s);
+        let shares = SharingScheme::Fixed(vec![2.0, 2.0, 4.0]).shares(&s).expect("n = 3");
         assert!((shares[2] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn payoffs_scale_with_grand_value() {
         let s = scenario();
-        let p = SharingScheme::Equal.payoffs(&s);
+        let p = SharingScheme::Equal.payoffs(&s).expect("n = 3");
         assert!((p.iter().sum::<f64>() - 1300.0).abs() < 1e-9);
     }
 }

@@ -13,12 +13,16 @@
 
 use crate::incentives::IncentivePoint;
 use crate::scheme::SharingScheme;
+use fedval_coalition::CoalitionError;
 use fedval_core::{Demand, ExperimentClass, Facility, FederationScenario};
 
 /// Shapley shares averaged over a window of diversity thresholds
 /// `l ∈ {center − spread, …, center, …, center + spread}` (uniform
 /// weights, `2·half_points + 1` samples), modelling forecast uncertainty
 /// about the demand's diversity requirement.
+///
+/// # Errors
+/// The first [`FederationScenario::shapley_shares`] error in the window.
 ///
 /// # Panics
 /// Panics if `spread < 0` or the window dips below zero thresholds.
@@ -28,7 +32,7 @@ pub fn threshold_smoothed_shares(
     center: f64,
     spread: f64,
     half_points: usize,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, CoalitionError> {
     assert!(spread >= 0.0);
     assert!(center - spread >= 0.0, "window must stay non-negative");
     let n = facilities.len();
@@ -42,16 +46,19 @@ pub fn threshold_smoothed_shares(
         };
         let scenario =
             FederationScenario::new(facilities.to_vec(), demand_at(center + offset));
-        let shares = scenario.shapley_shares();
+        let shares = scenario.shapley_shares()?;
         for (a, s) in acc.iter_mut().zip(&shares) {
             *a += s / samples as f64;
         }
     }
-    acc
+    Ok(acc)
 }
 
 /// Convenience: a smoothed Fig. 9-style incentive curve — facility
 /// `target`'s payoff under threshold-smoothed Shapley weights.
+///
+/// # Errors
+/// As [`threshold_smoothed_shares`].
 pub fn smoothed_incentive_curve(
     make_facilities: &dyn Fn(u32) -> Vec<Facility>,
     threshold: f64,
@@ -59,7 +66,7 @@ pub fn smoothed_incentive_curve(
     half_points: usize,
     target: usize,
     levels: &[u32],
-) -> Vec<IncentivePoint> {
+) -> Result<Vec<IncentivePoint>, CoalitionError> {
     levels
         .iter()
         .map(|&level| {
@@ -70,16 +77,16 @@ pub fn smoothed_incentive_curve(
                 threshold,
                 spread,
                 half_points,
-            );
+            )?;
             // Payoff at the *center* scenario's value.
             let scenario = FederationScenario::new(
                 facilities,
                 Demand::capacity_filling(ExperimentClass::simple("e", threshold, 1.0)),
             );
-            IncentivePoint {
+            Ok(IncentivePoint {
                 level,
-                payoff: shares[target] * scenario.grand_value(),
-            }
+                payoff: shares[target] * scenario.grand_value()?,
+            })
         })
         .collect()
 }
@@ -94,6 +101,9 @@ pub fn max_jump(curve: &[IncentivePoint]) -> f64 {
 
 /// Compares raw vs smoothed Shapley incentive curves for one facility.
 /// Returns `(raw_max_jump, smoothed_max_jump)`.
+///
+/// # Errors
+/// As [`crate::incentive_curve`] and [`smoothed_incentive_curve`].
 pub fn smoothing_benefit(
     make_facilities: &dyn Fn(u32) -> Vec<Facility>,
     threshold: f64,
@@ -101,7 +111,7 @@ pub fn smoothing_benefit(
     half_points: usize,
     target: usize,
     levels: &[u32],
-) -> (f64, f64) {
+) -> Result<(f64, f64), CoalitionError> {
     let demand = Demand::capacity_filling(ExperimentClass::simple("e", threshold, 1.0));
     let raw = crate::incentives::incentive_curve(
         make_facilities,
@@ -109,7 +119,7 @@ pub fn smoothing_benefit(
         &SharingScheme::Shapley,
         target,
         levels,
-    );
+    )?;
     let smoothed = smoothed_incentive_curve(
         make_facilities,
         threshold,
@@ -117,8 +127,8 @@ pub fn smoothing_benefit(
         half_points,
         target,
         levels,
-    );
-    (max_jump(&raw), max_jump(&smoothed))
+    )?;
+    Ok((max_jump(&raw), max_jump(&smoothed)))
 }
 
 #[cfg(test)]
@@ -139,12 +149,13 @@ mod tests {
             400.0,
             0.0,
             0,
-        );
+        )
+        .expect("n = 3");
         let scenario = FederationScenario::new(
             facilities,
             Demand::capacity_filling(ExperimentClass::simple("e", 400.0, 1.0)),
         );
-        let raw = scenario.shapley_shares();
+        let raw = scenario.shapley_shares().expect("n = 3");
         for (a, b) in shares.iter().zip(&raw) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -159,7 +170,8 @@ mod tests {
             600.0,
             100.0,
             2,
-        );
+        )
+        .expect("n = 3");
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
@@ -169,7 +181,7 @@ mod tests {
         // locations unlock new serving coalitions; a ±100 window flattens
         // the cliff.
         let levels: Vec<u32> = (300..=500).step_by(50).collect();
-        let (raw, smoothed) = smoothing_benefit(&fig9, 800.0, 100.0, 2, 0, &levels);
+        let (raw, smoothed) = smoothing_benefit(&fig9, 800.0, 100.0, 2, 0, &levels).expect("n = 3");
         assert!(
             smoothed <= raw + 1e-9,
             "smoothed jump {smoothed} vs raw {raw}"

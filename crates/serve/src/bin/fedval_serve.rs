@@ -15,8 +15,8 @@
 //! real port when `:0` was requested — scripts parse this line), and a
 //! drain summary when it exits. Exit code 0 means a clean drain.
 
-use fedval_coalition::{ApproxConfig, ApproxMethod, MAX_SAMPLED_PLAYERS};
-use fedval_serve::state::ScenarioSpec;
+use fedval_coalition::ApproxConfig;
+use fedval_serve::{parse_approx_flag, ScenarioSpec};
 use fedval_serve::{Server, ServerConfig, ServeState};
 use std::io::Write;
 use std::process::ExitCode;
@@ -131,6 +131,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
+        if opts.spec.parse_flag(flag, value)? || parse_approx_flag(&mut opts.approx, flag, value)? {
+            continue;
+        }
         match flag.as_str() {
             "--addr" => opts.addr = value.clone(),
             "--threads" => {
@@ -184,95 +187,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--slow-trace-ms: {e}"))?;
             }
-            "--locations" => {
-                opts.spec.locations = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--locations: {e}"))?;
-            }
-            "--capacities" => {
-                opts.spec.capacities = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--capacities: {e}"))?;
-            }
-            "--threshold" => {
-                opts.spec.threshold =
-                    value.parse().map_err(|e| format!("--threshold: {e}"))?;
-            }
-            "--shape" => {
-                opts.spec.shape = value.parse().map_err(|e| format!("--shape: {e}"))?;
-            }
-            "--volume" => {
-                opts.spec.volume = if value == "fill" {
-                    None
-                } else {
-                    Some(value.parse().map_err(|e| format!("--volume: {e}"))?)
-                };
-            }
-            "--synthetic" => {
-                let (n, seed) = match value.split_once(':') {
-                    Some((n, seed)) => (
-                        n.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        seed.parse::<u64>().map_err(|e| format!("--synthetic: {e}"))?,
-                    ),
-                    None => (
-                        value.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        42,
-                    ),
-                };
-                if n == 0 || n > MAX_SAMPLED_PLAYERS {
-                    return Err(format!(
-                        "--synthetic: need between 1 and {MAX_SAMPLED_PLAYERS} authorities"
-                    ));
-                }
-                let (draws, threshold) = fedval_testbed::synthetic_profile(n, seed);
-                opts.spec.locations = draws.iter().map(|&(l, _)| l).collect();
-                opts.spec.capacities = draws.iter().map(|&(_, r)| r).collect();
-                opts.spec.threshold = threshold;
-                opts.spec.shape = 1.0;
-                opts.spec.volume = Some(1);
-            }
-            "--approx-samples" => {
-                opts.approx.samples = value
-                    .parse()
-                    .map_err(|e| format!("--approx-samples: {e}"))?;
-                if opts.approx.samples == 0 {
-                    return Err("--approx-samples must be at least 1".to_string());
-                }
-            }
-            "--approx-seed" => {
-                opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
-            }
-            "--approx-method" => {
-                opts.approx.method = ApproxMethod::parse(value).ok_or_else(|| {
-                    format!("--approx-method: '{value}' is not 'permutation' or 'stratified'")
-                })?;
-            }
-            "--confidence" => {
-                opts.approx.confidence =
-                    value.parse().map_err(|e| format!("--confidence: {e}"))?;
-                if !(opts.approx.confidence > 0.0 && opts.approx.confidence < 1.0) {
-                    return Err("--confidence must be strictly between 0 and 1".to_string());
-                }
-            }
             "--trace" => opts.trace = Some(value.clone()),
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
-    if opts.spec.locations.is_empty() || opts.spec.locations.len() > MAX_SAMPLED_PLAYERS {
-        return Err(format!(
-            "need between 1 and {MAX_SAMPLED_PLAYERS} facilities"
-        ));
-    }
-    if opts.spec.capacities.is_empty() {
-        opts.spec.capacities = vec![1; opts.spec.locations.len()];
-    }
-    if opts.spec.capacities.len() != opts.spec.locations.len() {
-        return Err("--capacities must match --locations in length".to_string());
-    }
+    opts.spec.finish_flags()?;
     Ok(opts)
 }
 
@@ -280,11 +199,7 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
 
-    if let Some(path) = &opts.trace {
-        let sink = fedval_obs::FileSink::create(path)
-            .map_err(|e| format!("--trace {path}: {e}"))?;
-        fedval_obs::install(std::sync::Arc::new(sink));
-    }
+    let obs = fedval_obs::CliObservability::install(opts.trace.as_deref(), false)?;
 
     let approx = ApproxConfig {
         threads: opts.threads,
@@ -334,9 +249,7 @@ fn run() -> Result<(), String> {
         report.abandoned,
         report.open_conns,
     );
-    if opts.trace.is_some() {
-        fedval_obs::shutdown();
-    }
+    obs.finish();
     if report.abandoned != 0 {
         return Err(format!("drain abandoned {} queued jobs", report.abandoned));
     }
@@ -356,6 +269,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedval_coalition::ApproxMethod;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -455,6 +369,13 @@ mod tests {
         assert!(parse(&args(&["--io-timeout-ms", "0"])).is_err());
         assert!(parse(&args(&["--locations", "1,x"])).is_err());
         assert!(parse(&args(&["--capacities", "1,2"])).is_err());
+        assert!(parse(&args(&["--capacities", "0,1,1"])).is_err());
+        for bad in ["-5", "nan", "inf"] {
+            assert!(parse(&args(&["--threshold", bad])).is_err());
+        }
+        for bad in ["nan", "-1", "0", "inf"] {
+            assert!(parse(&args(&["--shape", bad])).is_err());
+        }
         assert!(parse(&args(&["--frobnicate", "1"])).is_err());
         assert!(parse(&args(&["--addr"])).is_err());
         assert!(parse(&args(&["--approx-samples", "0"])).is_err());

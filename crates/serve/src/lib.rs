@@ -53,4 +53,4 @@ pub use chaos::{ChaosConfig, ChaosReport, ChaosRng, FaultKind};
 pub use metrics::{MetricsRing, RingSample};
 pub use protocol::{parse_request, ProtocolError, QueryKind, Request, MAX_FRAME};
 pub use server::{DrainReport, Server, ServerConfig, ServerStats};
-pub use state::{ScenarioSpec, ServeState};
+pub use state::{parse_approx_flag, ScenarioSpec, ServeState};

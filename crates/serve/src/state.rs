@@ -22,8 +22,8 @@ use crate::lru::Lru;
 use crate::protocol::{render_f64_array, QueryError, QueryKind};
 use fedval_coalition::approx::WideGame;
 use fedval_coalition::{
-    nucleolus, shapley_normalized, try_approx_shapley_wide, ApproxConfig, ApproxShapley,
-    CachedGame, Coalition, CoalitionalGame, TableGame, EXACT_SHAPLEY_MAX_PLAYERS,
+    shapley_normalized, try_approx_shapley_wide, try_nucleolus, ApproxConfig, ApproxMethod,
+    ApproxShapley, CachedGame, Coalition, CoalitionalGame, TableGame, EXACT_SHAPLEY_MAX_PLAYERS,
     MAX_PLAYERS as BITSET_MAX_PLAYERS, MAX_SAMPLED_PLAYERS, NUCLEOLUS_MAX_PLAYERS,
 };
 use fedval_core::{Demand, ExperimentClass, Facility, FederationGame, Volume};
@@ -63,6 +63,83 @@ impl ScenarioSpec {
     /// Player count.
     pub fn n(&self) -> usize {
         self.locations.len()
+    }
+
+    /// Applies one scenario flag of the `fedval` and `fedval-serve` command
+    /// lines: `--locations`, `--capacities`, `--threshold`, `--shape`,
+    /// `--volume` or `--synthetic N[:SEED]`. Values are range-checked here,
+    /// so no flag reaches an assertion in the model's constructors.
+    /// Returns `Ok(false)` for any other flag.
+    ///
+    /// # Errors
+    /// A `--flag: …` message for a malformed or out-of-range value.
+    pub fn parse_flag(&mut self, flag: &str, value: &str) -> Result<bool, String> {
+        match flag {
+            "--locations" => self.locations = parse_list(flag, value)?,
+            "--capacities" => {
+                self.capacities = parse_list(flag, value)?;
+                if self.capacities.contains(&0) {
+                    return Err("--capacities: every capacity must be at least 1".to_string());
+                }
+            }
+            "--threshold" => {
+                self.threshold = value.parse().map_err(|e| format!("--threshold: {e}"))?;
+                if !(self.threshold >= 0.0 && self.threshold.is_finite()) {
+                    return Err(format!("--threshold: need a finite l >= 0, got {value}"));
+                }
+            }
+            "--shape" => {
+                self.shape = value.parse().map_err(|e| format!("--shape: {e}"))?;
+                if !(self.shape > 0.0 && self.shape.is_finite()) {
+                    return Err(format!("--shape: need a finite d > 0, got {value}"));
+                }
+            }
+            "--volume" => {
+                self.volume = if value == "fill" {
+                    None
+                } else {
+                    Some(value.parse().map_err(|e| format!("--volume: {e}"))?)
+                };
+            }
+            "--synthetic" => {
+                let (n, seed) = value.split_once(':').unwrap_or((value, "42"));
+                let n: usize = n.parse().map_err(|e| format!("--synthetic: {e}"))?;
+                let seed: u64 = seed.parse().map_err(|e| format!("--synthetic: {e}"))?;
+                if n == 0 || n > MAX_SAMPLED_PLAYERS {
+                    return Err(format!(
+                        "--synthetic: need between 1 and {MAX_SAMPLED_PLAYERS} authorities"
+                    ));
+                }
+                let (draws, threshold) = fedval_testbed::synthetic_profile(n, seed);
+                self.locations = draws.iter().map(|&(l, _)| l).collect();
+                self.capacities = draws.iter().map(|&(_, r)| r).collect();
+                self.threshold = threshold;
+                self.shape = 1.0;
+                self.volume = Some(1);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Completes a spec built by [`parse_flag`](ScenarioSpec::parse_flag):
+    /// empty capacities default to one per location, and the facility
+    /// count must be in `1..=MAX_SAMPLED_PLAYERS`.
+    ///
+    /// # Errors
+    /// A message for a facility count out of range, or for `--capacities`
+    /// and `--locations` of different lengths.
+    pub fn finish_flags(&mut self) -> Result<(), String> {
+        if self.locations.is_empty() || self.locations.len() > MAX_SAMPLED_PLAYERS {
+            return Err(format!("need between 1 and {MAX_SAMPLED_PLAYERS} facilities"));
+        }
+        if self.capacities.is_empty() {
+            self.capacities = vec![1; self.locations.len()];
+        }
+        if self.capacities.len() != self.locations.len() {
+            return Err("--capacities must match --locations in length".to_string());
+        }
+        Ok(())
     }
 
     /// Builds the facility list (disjoint location ranges, player
@@ -440,6 +517,55 @@ impl ServeState {
     }
 }
 
+/// Applies one sampled-Shapley flag of the `fedval` and `fedval-serve`
+/// command lines: `--approx-samples`, `--approx-seed`, `--approx-method`
+/// or `--confidence`. Returns `Ok(false)` for any other flag.
+///
+/// # Errors
+/// A message naming the flag for a malformed or out-of-range value.
+pub fn parse_approx_flag(
+    approx: &mut ApproxConfig,
+    flag: &str,
+    value: &str,
+) -> Result<bool, String> {
+    match flag {
+        "--approx-samples" => {
+            approx.samples = value.parse().map_err(|e| format!("--approx-samples: {e}"))?;
+            if approx.samples == 0 {
+                return Err("--approx-samples must be at least 1".to_string());
+            }
+        }
+        "--approx-seed" => {
+            approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
+        }
+        "--approx-method" => {
+            approx.method = ApproxMethod::parse(value).ok_or_else(|| {
+                format!("--approx-method: '{value}' is not 'permutation' or 'stratified'")
+            })?;
+        }
+        "--confidence" => {
+            approx.confidence = value.parse().map_err(|e| format!("--confidence: {e}"))?;
+            if !(approx.confidence > 0.0 && approx.confidence < 1.0) {
+                return Err("--confidence must be strictly between 0 and 1".to_string());
+            }
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// A comma-separated flag value, one parse per entry.
+fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .split(',')
+        .map(|v| v.trim().parse())
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
 /// Which solution concept a share solve runs.
 #[derive(Debug, Clone, Copy)]
 enum SolveWhich {
@@ -459,7 +585,11 @@ fn render_shares_payload(
             if grand.abs() < 1e-12 {
                 vec![0.0; table.n_players()]
             } else {
-                nucleolus(table).into_iter().map(|v| v / grand).collect()
+                try_nucleolus(table)
+                    .map_err(|e| QueryError::new("SOLVE_FAILED", e.to_string()))?
+                    .into_iter()
+                    .map(|v| v / grand)
+                    .collect()
             }
         }
     };

@@ -9,11 +9,11 @@
 use fedval::core::{block_overlap, diversity_discount, AvailabilityGame};
 use fedval::policy::hierarchical_shapley;
 use fedval::{
-    paper_facilities, shapley_normalized, Demand, ExperimentClass, Facility, FederationGame,
-    FederationScenario, TableGame,
+    paper_facilities, shapley_normalized, Demand, ExperimentClass, Facility, FedError,
+    FederationGame, FederationScenario, TableGame,
 };
 
-fn main() {
+fn main() -> Result<(), FedError> {
     // --- 1. Overlap: shared locations add capacity, not diversity -------
     println!("== overlap discounts diversity ==");
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 500.0, 1.0));
@@ -28,7 +28,7 @@ fn main() {
             "shared = {shared:>3}: distinct locations = {:>4}, diversity discount = {:.3}, V(N) = {:>6.0}",
             (1300 - shared),
             discount,
-            scenario.grand_value()
+            scenario.grand_value()?
         );
     }
     println!("(the experiment values *distinct* locations: every shared location");
@@ -38,13 +38,11 @@ fn main() {
     println!("== availability discounts shares ==");
     let facilities = paper_facilities([1, 1, 1]);
     let base = FederationGame::new(&facilities, &demand);
-    let base_table = TableGame::from_game(&base);
+    let base_table = TableGame::try_from_game(&base)?;
     println!("{:>18} {:>26}", "T = (1, 1, 1)", "T = (1, 0.5, 1)");
     let reliable = shapley_normalized(&base_table);
-    let flaky = shapley_normalized(&TableGame::from_game(&AvailabilityGame::new(
-        base_table.clone(),
-        vec![1.0, 0.5, 1.0],
-    )));
+    let flaky_game = AvailabilityGame::try_new(base_table.clone(), vec![1.0, 0.5, 1.0])?;
+    let flaky = shapley_normalized(&TableGame::try_from_game(&flaky_game)?);
     for i in 0..3 {
         println!(
             "facility {}: {:>7.4} {:>26.4}",
@@ -72,7 +70,7 @@ fn main() {
     let h = hierarchical_shapley(
         &site_groups,
         &Demand::one_experiment(ExperimentClass::simple("meas", 500.0, 1.0)),
-    );
+    )?;
     println!(
         "authority shares (quotient Shapley): {:?}",
         rounded(&h.authority_shares)
@@ -90,6 +88,7 @@ fn main() {
     println!("The Owen quotient property makes the two levels consistent: each");
     println!("authority's sites jointly receive exactly its top-level share, so");
     println!("local and global federation policies cannot contradict each other.");
+    Ok(())
 }
 
 fn rounded(v: &[f64]) -> Vec<f64> {

@@ -11,11 +11,12 @@
 use fedval::coalition::CoalitionalGame;
 use fedval::testbed::SimConfig;
 use fedval::{
-    empirical_game_diagnosed, policy_report_measured, shapley_normalized, synthetic_authority,
-    Coalition, Demand, ExperimentClass, FaultPlan, Federation, FederationScenario, Workload,
+    empirical_game_diagnosed, shapley_normalized, synthetic_authority, try_policy_report_measured,
+    Coalition, Demand, ExperimentClass, FaultPlan, FedError, Federation, FederationScenario,
+    Workload,
 };
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), FedError> {
     let federation = Federation::new(vec![
         synthetic_authority("PLC", 0, 5, 2, 3, 100),
         synthetic_authority("PLE", 5, 3, 2, 3, 60),
@@ -67,12 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {name}: {share:.4}");
     }
 
-    let scenario = FederationScenario::from_measured(
+    let scenario = FederationScenario::try_from_measured(
         federation.facilities(),
         Demand::one_experiment(ExperimentClass::simple("exp", 3.0, 1.0)),
         measured.game.clone(),
-    );
-    let report = policy_report_measured(&scenario, measured.diagnostics.clone());
+    )?;
+    let report = try_policy_report_measured(&scenario, measured.diagnostics.clone())?;
     println!("\n{}", report.render());
     Ok(())
 }

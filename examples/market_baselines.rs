@@ -13,10 +13,10 @@
 
 use fedval::market::{clear_double_auction, run_combinatorial_auction, Ask, Bid, Order};
 use fedval::{
-    paper_facilities, Demand, ExperimentClass, FederationScenario,
+    paper_facilities, Demand, ExperimentClass, FedError, FederationScenario,
 };
 
-fn main() {
+fn main() -> Result<(), FedError> {
     let facilities = paper_facilities([1, 1, 1]);
 
     // The demand side: one diversity-hungry customer (> 1200 locations —
@@ -44,7 +44,7 @@ fn main() {
         facilities.clone(),
         Demand::one_experiment(ExperimentClass::simple("global", 1200.0, 1.0)),
     );
-    let shapley = scenario.shapley_shares();
+    let shapley = scenario.shapley_shares()?;
     let proportional = scenario.proportional_shares();
 
     println!(
@@ -95,4 +95,5 @@ fn main() {
     println!();
     println!("Slots are fungible in the spot market: revenue again tracks raw");
     println!("capacity (eq. 6's proportional rule), never the diversity premium.");
+    Ok(())
 }

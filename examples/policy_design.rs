@@ -11,10 +11,10 @@ use fedval::core::LocationOffer;
 use fedval::policy::{best_response_dynamics, incentive_curve, peak_marginal};
 use fedval::{
     paper_facilities, paper_facilities_with_locations, CostModel, Demand, ExperimentClass,
-    Facility, FederationScenario, SharingScheme,
+    Facility, FedError, FederationScenario, SharingScheme,
 };
 
-fn main() {
+fn main() -> Result<(), FedError> {
     // --- 1. Off-line Shapley weights per expected demand mixture --------
     println!("== Shapley weights vs expected demand mixture ==");
     println!("(two classes: bulk l = 0 vs diversity-hungry l = 700; K = 60)");
@@ -32,7 +32,7 @@ fn main() {
                 sigma,
             ),
         );
-        let phi = scenario.shapley_shares();
+        let phi = scenario.shapley_shares()?;
         let pi = scenario.proportional_shares();
         println!(
             "{sigma:>6.2} {:>7.3} {:>7.3} {:>8.3} {:>7.3} {:>7.3} {:>8.3}",
@@ -49,7 +49,7 @@ fn main() {
     let demand = Demand::capacity_filling(ExperimentClass::simple("e", 800.0, 1.0));
     let levels: Vec<u32> = (0..=20).map(|k| k * 50).collect();
     for scheme in [SharingScheme::Shapley, SharingScheme::Proportional] {
-        let curve = incentive_curve(&make, &demand, &scheme, 0, &levels);
+        let curve = incentive_curve(&make, &demand, &scheme, 0, &levels)?;
         let (Some(first), Some(last)) = (curve.first(), curve.last()) else {
             println!("{:>13}: empty incentive curve", scheme.name());
             continue;
@@ -87,7 +87,7 @@ fn main() {
         SharingScheme::Shapley,
         SharingScheme::Equal,
     ] {
-        let eq = best_response_dynamics(&grid, &make_facility, &eq_demand, &scheme, &cost, 30);
+        let eq = best_response_dynamics(&grid, &make_facility, &eq_demand, &scheme, &cost, 30)?;
         let provision: Vec<u32> = eq.strategy.iter().map(|&s| grid[0][s]).collect();
         println!(
             "{:>13}: equilibrium provision = {:?} (converged: {}, sweeps: {})",
@@ -100,4 +100,5 @@ fn main() {
     println!();
     println!("Contribution-sensitive schemes sustain full provision; the equal");
     println!("split free-rides its way to minimal contributions.");
+    Ok(())
 }

@@ -9,10 +9,11 @@
 //! ```
 
 use fedval::{
-    is_core_nonempty, paper_facilities, policy_report, Demand, ExperimentClass, FederationScenario,
+    is_core_nonempty, paper_facilities, try_policy_report, Demand, ExperimentClass, FedError,
+    FederationScenario,
 };
 
-fn main() {
+fn main() -> Result<(), FedError> {
     // The federation: L = (100, 400, 800) locations, one unit of capacity
     // per location (R = 1).
     let facilities = paper_facilities([1, 1, 1]);
@@ -26,10 +27,10 @@ fn main() {
     println!("== the federation game ==");
     println!(
         "V(N) = {:.0} (the experiment spans all 1300 locations)\n",
-        scenario.grand_value()
+        scenario.grand_value()?
     );
 
-    let phi = scenario.shapley_shares();
+    let phi = scenario.shapley_shares()?;
     let pi = scenario.proportional_shares();
     println!(
         "{:>10} {:>12} {:>14}",
@@ -46,9 +47,10 @@ fn main() {
     println!("under proportional sharing: proportional over-rewards raw volume");
     println!("and ignores that facility 2 cannot serve the customer without help.\n");
 
-    println!("core non-empty: {}", is_core_nonempty(scenario.game()));
+    println!("core non-empty: {}", is_core_nonempty(scenario.try_game()?)?);
     println!();
 
     println!("== full policy report ==");
-    println!("{}", policy_report(&scenario).render());
+    println!("{}", try_policy_report(&scenario)?.render());
+    Ok(())
 }

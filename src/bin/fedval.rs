@@ -15,21 +15,19 @@
 use fedval::coalition::{hoeffding_samples, NUCLEOLUS_MAX_PLAYERS};
 use fedval::policy::try_policy_report;
 use fedval::{
-    ApproxConfig, ApproxMethod, Coalition, CoalitionalGame, Demand, ExperimentClass, Facility,
-    FederationScenario, SharingScheme, Volume, EXACT_SHAPLEY_MAX_PLAYERS, MAX_SAMPLED_PLAYERS,
+    ApproxConfig, Coalition, CoalitionalGame, FederationScenario, SharingScheme,
+    EXACT_SHAPLEY_MAX_PLAYERS,
 };
-use fedval_obs::{FileSink, RecordingSink, RunReport, Sink, TeeSink};
+use fedval_obs::{is_broken_pipe, CliObservability};
+use fedval_serve::{parse_approx_flag, ScenarioSpec};
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 #[derive(Debug)]
 struct Options {
     command: String,
-    locations: Vec<u32>,
-    capacities: Vec<u64>,
-    threshold: f64,
-    shape: f64,
-    volume: Option<u64>, // None = capacity-filling
+    spec: ScenarioSpec,
     scheme: String,
     threads: usize,
     approx: ApproxConfig,
@@ -88,11 +86,11 @@ fn default_threads() -> usize {
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         command: args.first().cloned().ok_or_else(|| usage().to_string())?,
-        locations: vec![100, 400, 800],
-        capacities: Vec::new(),
-        threshold: 500.0,
-        shape: 1.0,
-        volume: Some(1),
+        // Capacities default to one per location once the flags are in.
+        spec: ScenarioSpec {
+            capacities: Vec::new(),
+            ..ScenarioSpec::paper_4_1()
+        },
         scheme: "shapley".to_string(),
         threads: default_threads(),
         approx: ApproxConfig::default(),
@@ -121,34 +119,12 @@ fn parse(args: &[String]) -> Result<Options, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("flag {flag} needs a value"))?;
+        if opts.spec.parse_flag(flag, value)? || parse_approx_flag(&mut opts.approx, flag, value)? {
+            // An explicit budget wins over `--epsilon`.
+            samples_overridden |= flag == "--approx-samples";
+            continue;
+        }
         match flag.as_str() {
-            "--locations" => {
-                opts.locations = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--locations: {e}"))?;
-            }
-            "--capacities" => {
-                opts.capacities = value
-                    .split(',')
-                    .map(|v| v.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--capacities: {e}"))?;
-            }
-            "--threshold" => {
-                opts.threshold = value.parse().map_err(|e| format!("--threshold: {e}"))?;
-            }
-            "--shape" => {
-                opts.shape = value.parse().map_err(|e| format!("--shape: {e}"))?;
-            }
-            "--volume" => {
-                opts.volume = if value == "fill" {
-                    None
-                } else {
-                    Some(value.parse().map_err(|e| format!("--volume: {e}"))?)
-                };
-            }
             "--scheme" => {
                 opts.scheme = value.clone();
             }
@@ -162,38 +138,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--trace" => {
                 opts.trace = Some(value.clone());
             }
-            "--synthetic" => {
-                let (n, seed) = match value.split_once(':') {
-                    Some((n, seed)) => (
-                        n.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        seed.parse::<u64>().map_err(|e| format!("--synthetic: {e}"))?,
-                    ),
-                    None => (
-                        value.parse::<usize>().map_err(|e| format!("--synthetic: {e}"))?,
-                        42,
-                    ),
-                };
-                if n == 0 || n > MAX_SAMPLED_PLAYERS {
-                    return Err(format!(
-                        "--synthetic: need between 1 and {MAX_SAMPLED_PLAYERS} authorities"
-                    ));
-                }
-                let (draws, threshold) = fedval::testbed::synthetic_profile(n, seed);
-                opts.locations = draws.iter().map(|&(l, _)| l).collect();
-                opts.capacities = draws.iter().map(|&(_, r)| r).collect();
-                opts.threshold = threshold;
-                opts.shape = 1.0;
-                opts.volume = Some(1);
-            }
-            "--approx-samples" => {
-                opts.approx.samples = value
-                    .parse()
-                    .map_err(|e| format!("--approx-samples: {e}"))?;
-                if opts.approx.samples == 0 {
-                    return Err("--approx-samples must be at least 1".to_string());
-                }
-                samples_overridden = true;
-            }
             "--epsilon" => {
                 let e: f64 = value.parse().map_err(|e| format!("--epsilon: {e}"))?;
                 if !(e > 0.0 && e.is_finite()) {
@@ -201,33 +145,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 }
                 epsilon = Some(e);
             }
-            "--approx-seed" => {
-                opts.approx.seed = value.parse().map_err(|e| format!("--approx-seed: {e}"))?;
-            }
-            "--approx-method" => {
-                opts.approx.method = ApproxMethod::parse(value).ok_or_else(|| {
-                    format!("--approx-method: '{value}' is not 'permutation' or 'stratified'")
-                })?;
-            }
-            "--confidence" => {
-                opts.approx.confidence =
-                    value.parse().map_err(|e| format!("--confidence: {e}"))?;
-                if !(opts.approx.confidence > 0.0 && opts.approx.confidence < 1.0) {
-                    return Err("--confidence must be strictly between 0 and 1".to_string());
-                }
-            }
             other => return Err(format!("unknown flag '{other}'\n\n{}", usage())),
         }
     }
-    if opts.locations.is_empty() || opts.locations.len() > MAX_SAMPLED_PLAYERS {
-        return Err(format!("need between 1 and {MAX_SAMPLED_PLAYERS} facilities"));
-    }
-    if opts.capacities.is_empty() {
-        opts.capacities = vec![1; opts.locations.len()];
-    }
-    if opts.capacities.len() != opts.locations.len() {
-        return Err("--capacities must match --locations in length".to_string());
-    }
+    opts.spec.finish_flags()?;
     if let Some(epsilon) = epsilon {
         if !samples_overridden {
             // Normalized shares live in [0, 1], so `range = 1`; the
@@ -248,33 +169,19 @@ fn parse(args: &[String]) -> Result<Options, String> {
 }
 
 fn build_scenario(opts: &Options) -> FederationScenario {
-    let mut start = 0u32;
-    let facilities: Vec<Facility> = opts
-        .locations
-        .iter()
-        .zip(&opts.capacities)
-        .enumerate()
-        .map(|(i, (&l, &r))| {
-            let f = Facility::uniform(format!("facility-{}", i + 1), start, l, r);
-            start += l;
-            f
-        })
-        .collect();
-    let class = ExperimentClass::simple("cli", opts.threshold, opts.shape);
-    let demand = match opts.volume {
-        Some(1) => Demand::one_experiment(class),
-        Some(k) => Demand::single(class, Volume::Count(k)),
-        None => Demand::capacity_filling(class),
-    };
-    FederationScenario::new(facilities, demand)
+    FederationScenario::new(opts.spec.facilities(), opts.spec.demand())
         .with_threads(opts.threads)
         .with_approx(opts.approx)
 }
 
 /// Prints the `shares` table for a sampled Shapley estimate, with the
 /// per-facility CI half-width column and the certificate header.
-fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), String> {
-    let estimate = scenario.shapley_estimate().map_err(|e| e.to_string())?;
+fn print_sampled_shapley(
+    out: &mut dyn Write,
+    scenario: &FederationScenario,
+    n: usize,
+) -> Result<(), Box<dyn Error>> {
+    let estimate = scenario.shapley_estimate()?;
     // The caller and the scenario ask the same `ApproxConfig::samples_at`,
     // so this path always gets a sampled estimate.
     let Some(approx) = estimate.as_approx() else {
@@ -282,26 +189,29 @@ fn print_sampled_shapley(scenario: &FederationScenario, n: usize) -> Result<(), 
     };
     let shares = approx.shares();
     let ci = approx.ci_shares();
-    println!(
+    writeln!(
+        out,
         "scheme: shapley (sampled: {}, {} samples, seed {}, {:.0}% CI) — V(N) = {:.2}",
         approx.method.as_str(),
         approx.samples,
         approx.seed,
         approx.confidence * 100.0,
         approx.grand_value
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>10} {:>10} {:>10} {:>14}",
         "facility", "share", "±ci", "payoff"
-    );
+    )?;
     for i in 0..n {
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>10.4} {:>10.4} {:>14.2}",
             i + 1,
             shares[i],
             ci[i],
             shares[i] * approx.grand_value
-        );
+        )?;
     }
     Ok(())
 }
@@ -317,30 +227,7 @@ fn scheme_from_name(name: &str) -> Result<SharingScheme, String> {
     })
 }
 
-/// Installs the observability sink combination requested on the command
-/// line. Returns the recording handle when `--metrics` asked for a run
-/// report, so `run` can aggregate after the command finishes.
-fn install_observability(opts: &Options) -> Result<Option<RecordingSink>, String> {
-    let recording = opts.metrics.then(RecordingSink::new);
-    let file = match &opts.trace {
-        Some(path) => {
-            Some(FileSink::create(path).map_err(|e| format!("--trace {path}: {e}"))?)
-        }
-        None => None,
-    };
-    let sink: Option<Arc<dyn Sink>> = match (file, recording.clone()) {
-        (Some(f), Some(r)) => Some(Arc::new(TeeSink::new(f, r))),
-        (Some(f), None) => Some(Arc::new(f)),
-        (None, Some(r)) => Some(Arc::new(r)),
-        (None, None) => None,
-    };
-    if let Some(sink) = sink {
-        fedval_obs::install(sink);
-    }
-    Ok(recording)
-}
-
-fn execute(opts: &Options) -> Result<(), String> {
+fn execute(opts: &Options, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let scenario = {
         let _span = fedval_obs::span("fedval.cli.scenario");
         build_scenario(opts)
@@ -355,16 +242,19 @@ fn execute(opts: &Options) -> Result<(), String> {
                     "values enumerates all 2^n coalitions and supports at most \
                      {EXACT_SHAPLEY_MAX_PLAYERS} facilities (got {n}); use 'shares' or \
                      'report' — past the cap they answer from the sampled estimator"
-                ));
+                )
+                .into());
             }
-            println!("{:>16} {:>14}", "coalition", "V(S)");
+            writeln!(out, "{:>16} {:>14}", "coalition", "V(S)")?;
+            let game = scenario.try_game()?;
             for c in Coalition::all(n).filter(|c| !c.is_empty()) {
                 let label: Vec<String> = c.players().map(|p| (p + 1).to_string()).collect();
-                println!(
+                writeln!(
+                    out,
                     "{:>16} {:>14.2}",
                     format!("{{{}}}", label.join(",")),
-                    scenario.game().value(c)
-                );
+                    game.value(c)
+                )?;
             }
         }
         "shares" => {
@@ -373,76 +263,52 @@ fn execute(opts: &Options) -> Result<(), String> {
                 return Err(format!(
                     "the nucleolus supports at most {NUCLEOLUS_MAX_PLAYERS} facilities \
                      (got {n}) and has no sampled fallback; use --scheme shapley"
-                ));
+                )
+                .into());
             }
             let sampled = opts.approx.samples_at(n);
-            match (&scheme, sampled) {
-                (SharingScheme::Shapley, true) => print_sampled_shapley(&scenario, n)?,
-                (_, true) => {
-                    // Enumeration-free schemes at large n: V(N) comes from
-                    // one wide-game evaluation instead of the 2^n table.
-                    let shares = scheme.shares(&scenario);
-                    let all: Vec<usize> = (0..n).collect();
-                    let grand = scenario.value_of_members(&all);
-                    println!("scheme: {} — V(N) = {grand:.2}", scheme.name());
-                    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-                    for (i, s) in shares.iter().enumerate() {
-                        println!("{:>10} {:>10.4} {:>14.2}", i + 1, s, s * grand);
-                    }
-                }
-                (_, false) => {
-                    let shares = scheme.shares(&scenario);
-                    let payoffs = scenario.payoffs(&shares);
-                    println!(
-                        "scheme: {} — V(N) = {:.2}",
-                        scheme.name(),
-                        scenario.grand_value()
-                    );
-                    println!("{:>10} {:>10} {:>14}", "facility", "share", "payoff");
-                    for i in 0..n {
-                        println!("{:>10} {:>10.4} {:>14.2}", i + 1, shares[i], payoffs[i]);
-                    }
-                }
+            if sampled && matches!(scheme, SharingScheme::Shapley) {
+                return print_sampled_shapley(out, &scenario, n);
+            }
+            let shares = scheme.shares(&scenario)?;
+            // Enumeration-free schemes at large n: V(N) comes from one
+            // wide-game evaluation instead of the 2^n table.
+            let grand = if sampled {
+                scenario.value_of_members(&(0..n).collect::<Vec<_>>())
+            } else {
+                scenario.grand_value()?
+            };
+            writeln!(out, "scheme: {} — V(N) = {grand:.2}", scheme.name())?;
+            writeln!(out, "{:>10} {:>10} {:>14}", "facility", "share", "payoff")?;
+            for (i, s) in shares.iter().enumerate() {
+                writeln!(out, "{:>10} {:>10.4} {:>14.2}", i + 1, s, s * grand)?;
             }
         }
-        "report" => {
-            let report = try_policy_report(&scenario).map_err(|e| e.to_string())?;
-            print!("{}", report.render());
-        }
-        // lint: allow(no-panic-path) — parse() rejects unknown commands before
-        // dispatch, so this arm is dead by construction.
-        _ => unreachable!("validated in parse"),
+        // "report": parse() admits no other command.
+        _ => write!(out, "{}", try_policy_report(&scenario)?.render())?,
     }
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+fn run(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse(&args)?;
-    let recording = install_observability(&opts)?;
+    let obs = CliObservability::install(opts.trace.as_deref(), opts.metrics)?;
 
-    let outcome = execute(&opts);
+    let outcome = execute(&opts, out);
 
-    // Disable and flush before aggregating so the trace file is complete
-    // and the recording contains every span-end. The metric fold is read
-    // first: shutdown dumps counter/gauge totals into the record stream
-    // for trace files, but the report sources metrics from the shards.
-    let fold = (opts.trace.is_some() || opts.metrics).then(fedval_obs::metrics_fold);
-    if fold.is_some() {
-        fedval_obs::shutdown();
-    }
-    if let (Some(recording), Some(fold)) = (recording, fold) {
-        print!(
-            "{}",
-            RunReport::from_parts(&fold, &recording.records()).render()
-        );
-    }
-    outcome
+    // Finish observability (completing the trace file) before the
+    // `--metrics` run report, which follows the command output.
+    let report = obs.finish().map_or(Ok(()), |report| write!(out, "{report}"));
+    outcome?;
+    report?;
+    Ok(out.flush()?)
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(&mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if is_broken_pipe(e.as_ref()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
             ExitCode::FAILURE
@@ -453,6 +319,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedval::ApproxMethod;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -462,8 +329,8 @@ mod tests {
     fn defaults_reproduce_worked_example() {
         let opts = parse(&args(&["shares"])).unwrap();
         let scenario = build_scenario(&opts);
-        assert_eq!(scenario.grand_value(), 1300.0);
-        assert!((scenario.shapley_shares()[1] - 2.0 / 13.0).abs() < 1e-12);
+        assert_eq!(scenario.grand_value(), Ok(1300.0));
+        assert!((scenario.shapley_shares().expect("n = 3")[1] - 2.0 / 13.0).abs() < 1e-12);
     }
 
     #[test]
@@ -484,11 +351,11 @@ mod tests {
             "nucleolus",
         ]))
         .unwrap();
-        assert_eq!(opts.locations, vec![10, 20, 30]);
-        assert_eq!(opts.capacities, vec![2, 2, 2]);
-        assert_eq!(opts.threshold, 25.0);
-        assert_eq!(opts.shape, 0.8);
-        assert_eq!(opts.volume, None);
+        assert_eq!(opts.spec.locations, vec![10, 20, 30]);
+        assert_eq!(opts.spec.capacities, vec![2, 2, 2]);
+        assert_eq!(opts.spec.threshold, 25.0);
+        assert_eq!(opts.spec.shape, 0.8);
+        assert_eq!(opts.spec.volume, None);
         assert!(scheme_from_name(&opts.scheme).is_ok());
     }
 
@@ -498,6 +365,13 @@ mod tests {
         assert!(parse(&args(&["shares", "--locations"])).is_err());
         assert!(parse(&args(&["shares", "--locations", "1,x"])).is_err());
         assert!(parse(&args(&["shares", "--capacities", "1,2"])).is_err());
+        assert!(parse(&args(&["shares", "--capacities", "0,1,1"])).is_err());
+        for bad in ["-5", "nan", "inf"] {
+            assert!(parse(&args(&["shares", "--threshold", bad])).is_err());
+        }
+        for bad in ["nan", "-1", "0", "inf"] {
+            assert!(parse(&args(&["shares", "--shape", bad])).is_err());
+        }
         assert!(scheme_from_name("venetian").is_err());
         assert!(parse(&args(&[])).is_err());
     }
@@ -510,7 +384,7 @@ mod tests {
         .unwrap();
         assert!(opts.metrics);
         assert_eq!(opts.trace.as_deref(), Some("out.jsonl"));
-        assert_eq!(opts.threshold, 250.0);
+        assert_eq!(opts.spec.threshold, 250.0);
         // --metrics takes no value; --trace requires one.
         let bare = parse(&args(&["values", "--metrics"])).unwrap();
         assert!(bare.metrics && bare.trace.is_none());
@@ -520,7 +394,7 @@ mod tests {
     #[test]
     fn capacity_default_matches_facility_count() {
         let opts = parse(&args(&["values", "--locations", "5,6,7,8"])).unwrap();
-        assert_eq!(opts.capacities, vec![1; 4]);
+        assert_eq!(opts.spec.capacities, vec![1; 4]);
     }
 
     #[test]
@@ -559,10 +433,10 @@ mod tests {
         assert!(parse(&args(&["shares", "--approx-method", "x"])).is_err());
 
         let syn = parse(&args(&["report", "--synthetic", "40:7"])).unwrap();
-        assert_eq!(syn.locations.len(), 40);
-        assert_eq!(syn.capacities.len(), 40);
+        assert_eq!(syn.spec.locations.len(), 40);
+        assert_eq!(syn.spec.capacities.len(), 40);
         let again = parse(&args(&["report", "--synthetic", "40:7"])).unwrap();
-        assert_eq!(syn.locations, again.locations);
+        assert_eq!(syn.spec.locations, again.spec.locations);
         assert!(parse(&args(&["report", "--synthetic", "0"])).is_err());
         assert!(parse(&args(&["report", "--synthetic", "1000"])).is_err());
         // The old 12-facility wall is gone.
@@ -618,7 +492,7 @@ mod tests {
         let mut opts = parse(&args(&["shares", "--synthetic", "40:7"])).unwrap();
         opts.approx.samples = 32;
         let scenario = build_scenario(&opts);
-        assert!(print_sampled_shapley(&scenario, 40).is_ok());
+        assert!(print_sampled_shapley(&mut std::io::sink(), &scenario, 40).is_ok());
         let report = try_policy_report(&scenario).expect("degraded report");
         assert!(report.approx.is_some());
     }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `fedval` CLI binary (spawned as a real
 //! process via the path Cargo exports to integration tests).
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn fedval(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
@@ -61,6 +62,44 @@ fn bad_input_fails_with_usage() {
     let (_, stderr, ok) = fedval(&["shares", "--locations", "nope"]);
     assert!(!ok);
     assert!(stderr.contains("--locations"));
+
+    // Out-of-range numbers are rejected at parse time: exit 1 with a
+    // message naming the flag, never a panic.
+    for (flag, value) in [
+        ("--threshold", "-5"),
+        ("--shape", "nan"),
+        ("--shape", "-1"),
+        ("--shape", "inf"),
+        ("--capacities", "0,1,1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fedval"))
+            .args(["shares", flag, value])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.starts_with(&format!("{flag}: ")), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_pipe_is_a_clean_exit() {
+    // `fedval values --synthetic 14 | head -1`: half a megabyte of table
+    // outgrows any pipe buffer, so a write does hit the closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fedval"))
+        .args(["values", "--synthetic", "14"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut first = String::new();
+    BufReader::new(stdout).read_line(&mut first).expect("one line");
+    assert!(first.contains("coalition"), "{first}");
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! availability (§2.1 `Tᵢ`), weighted Shapley (user-base weights), the
 //! Bondareva–Shapley duality, and hierarchical (Owen) sharing.
 
-use fedval::coalition::{balancedness, is_balanced, owen_value, quotient_game, weighted_shapley};
+use fedval::coalition::{
+    is_balanced, owen_value, quotient_game, try_balancedness, weighted_shapley,
+};
 use fedval::core::{block_overlap, diversity_discount, AvailabilityGame, IndependentCoverage};
 use fedval::policy::hierarchical_shapley;
 use fedval::{
@@ -20,7 +22,7 @@ fn overlap_reduces_value_monotonically() {
     for shared in [0u32, 100, 200, 300, 400] {
         let facilities = block_overlap(&[100, 400 - shared, 800 - shared], shared, 1);
         let scenario = FederationScenario::new(facilities, worked_demand());
-        let v = scenario.grand_value();
+        let v = scenario.grand_value().expect("n = 3");
         assert!(v <= prev, "more overlap must not create value");
         prev = v;
     }
@@ -41,7 +43,7 @@ fn sampled_overlap_model_tracks_expectations() {
         facilities,
         Demand::one_experiment(ExperimentClass::simple("e", 300.0, 1.0)),
     );
-    let shares = scenario.shapley_shares();
+    let shares = scenario.shapley_shares().expect("n = 3");
     assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 }
 
@@ -49,11 +51,12 @@ fn sampled_overlap_model_tracks_expectations() {
 fn availability_game_matches_hand_expectation_on_worked_example() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let base = TableGame::from_game(&FederationGame::new(&facilities, &demand));
-    let game = AvailabilityGame::new(base, vec![1.0, 0.5, 1.0]);
+    let base =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("table fits");
+    let game = AvailabilityGame::try_new(base, vec![1.0, 0.5, 1.0]).expect("valid availability");
     // V_T(N) = .5·V({1,2,3}) + .5·V({1,3}) = 650 + 450 = 1100.
     assert!((game.grand_value() - 1100.0).abs() < 1e-9);
-    let phi_hat = shapley_normalized(&TableGame::from_game(&game));
+    let phi_hat = shapley_normalized(&TableGame::try_from_game(&game).expect("table fits"));
     assert!((phi_hat[1] - 1.0 / 11.0).abs() < 1e-9);
 }
 
@@ -61,7 +64,8 @@ fn availability_game_matches_hand_expectation_on_worked_example() {
 fn weighted_shapley_biases_toward_user_heavy_facilities() {
     let facilities = paper_facilities([1, 1, 1]);
     let demand = worked_demand();
-    let game = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let game =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("table fits");
     let unweighted = shapley(&game);
     // Facility 1 carries 10× the users of the others (the Uᵢ dimension).
     let weighted = weighted_shapley(&game, &[10.0, 1.0, 1.0]);
@@ -78,14 +82,14 @@ fn bondareva_duality_agrees_with_least_core_on_federation_games() {
             paper_facilities([1, 1, 1]),
             Demand::one_experiment(ExperimentClass::simple("e", l, 1.0)),
         );
-        let game = scenario.game();
+        let game = scenario.try_game().expect("n = 3");
         assert_eq!(
-            is_balanced(game),
-            is_core_nonempty(game),
+            is_balanced(game).expect("balancedness"),
+            is_core_nonempty(game).expect("least core"),
             "duality mismatch at l = {l}"
         );
         // The balanced-cover certificate really covers every player once.
-        let b = balancedness(game);
+        let b = try_balancedness(game).expect("balancedness");
         for i in 0..3 {
             let cover: f64 = b
                 .weights
@@ -113,7 +117,7 @@ fn hierarchical_shares_are_consistent_with_flat_quotient() {
         ],
         vec![Facility::uniform("PLJ-a", 500, 800, 1)],
     ];
-    let h = hierarchical_shapley(&site_groups, &worked_demand());
+    let h = hierarchical_shapley(&site_groups, &worked_demand()).expect("five sites");
     assert!((h.authority_shares[0] - 1.0 / 26.0).abs() < 1e-9);
     assert!((h.authority_shares[1] - 2.0 / 13.0).abs() < 1e-9);
     assert!((h.authority_shares[2] - 21.0 / 26.0).abs() < 1e-9);
@@ -132,10 +136,11 @@ fn owen_on_federation_game_respects_union_structure() {
         Facility::uniform("c", 8, 6, 1),
     ];
     let demand = Demand::one_experiment(ExperimentClass::simple("e", 9.0, 1.0));
-    let game = TableGame::from_game(&FederationGame::new(&facilities, &demand));
+    let game =
+        TableGame::try_from_game(&FederationGame::new(&facilities, &demand)).expect("table fits");
     let unions = [Coalition::from_players([0, 1]), Coalition::singleton(2)];
     let owen = owen_value(&game, &unions);
-    let quotient = quotient_game(&game, &unions);
+    let quotient = quotient_game(&game, &unions).expect("quotient fits");
     let quotient_phi = shapley(&quotient);
     assert!((owen[0] + owen[1] - quotient_phi[0]).abs() < 1e-9);
     assert!((owen[2] - quotient_phi[1]).abs() < 1e-9);

@@ -20,7 +20,7 @@ fn market_shares_are_near_proportional_and_far_from_shapley() {
         facilities,
         Demand::one_experiment(ExperimentClass::simple("e", 1200.0, 1.0)),
     );
-    let shapley = scenario.shapley_shares();
+    let shapley = scenario.shapley_shares().expect("n = 3");
     let proportional = scenario.proportional_shares();
 
     let to_pi = l1(&market, &proportional);

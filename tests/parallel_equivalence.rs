@@ -88,7 +88,7 @@ fn exact_estimate_shares_match_shapley_normalized() {
         || synthetic_scenario(8, 42),
     ];
     for build in scenarios {
-        let expected = shapley_normalized(build().game());
+        let expected = shapley_normalized(build().try_game().expect("table fits"));
         for threads in [1, 4] {
             let estimate = build()
                 .with_threads(threads)

@@ -5,10 +5,17 @@
 use fedval::desim::{erlang_b, Distribution, Exponential, SimRng, Simulator};
 use fedval::testbed::ClassLoad;
 use fedval::{
-    empirical_game, paper_facilities, run_coalition, shapley_normalized, synthetic_authority,
-    Coalition, CoalitionalGame, Demand, ExperimentClass, Federation, FederationScenario, SimConfig,
-    Workload,
+    empirical_game_diagnosed, paper_facilities, run_coalition_faulted, shapley_normalized,
+    synthetic_authority, Coalition, CoalitionalGame, Demand, ExperimentClass, FaultPlan,
+    Federation, FederationScenario, SimConfig, TableGame, Workload,
 };
+
+/// The fault-free measured game of a small federation.
+fn measure(federation: &Federation, workload: &Workload, config: &SimConfig) -> TableGame {
+    empirical_game_diagnosed(federation, workload, config, &FaultPlan::new())
+        .expect("at most 16 authorities")
+        .game
+}
 
 #[test]
 fn measured_shapley_shares_are_a_probability_vector() {
@@ -37,7 +44,7 @@ fn measured_shapley_shares_are_a_probability_vector() {
         seed: 5,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = measure(&federation, &workload, &config);
     let shares = shapley_normalized(&game);
     assert_eq!(shares.len(), 3);
     assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -56,7 +63,7 @@ fn diversity_premium_appears_in_both_routes() {
         facilities,
         Demand::capacity_filling(ExperimentClass::simple("wide", 13.0, 1.0)),
     );
-    let static_phi = scenario.shapley_shares();
+    let static_phi = scenario.shapley_shares().expect("n = 3");
     let static_pi = scenario.proportional_shares();
     assert!(
         static_phi[2] > static_pi[2],
@@ -76,7 +83,7 @@ fn diversity_premium_appears_in_both_routes() {
         seed: 17,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = measure(&federation, &workload, &config);
     let measured_phi = shapley_normalized(&game);
     let capacity: Vec<f64> = federation
         .authorities()
@@ -105,7 +112,7 @@ fn federation_never_hurts_in_the_measured_game() {
         seed: 23,
         churn: None,
     };
-    let game = empirical_game(&federation, &workload, &config);
+    let game = measure(&federation, &workload, &config);
     let grand = game.grand_value();
     for c in Coalition::all(2) {
         assert!(game.value(c) <= grand + 1e-9);
@@ -167,7 +174,15 @@ fn testbed_sim_agrees_with_erlang_on_single_location_class() {
         seed: 41,
         churn: None,
     };
-    let report = run_coalition(&federation, Coalition::grand(1), &workload, &config);
+    let report = run_coalition_faulted(
+        &federation,
+        Coalition::grand(1),
+        &workload,
+        &config,
+        &FaultPlan::new(),
+    )
+    .expect("well-formed workload")
+    .report;
     let analytic = erlang_b(lambda, servers);
     assert!(
         (report.blocking_probability(0) - analytic).abs() < 0.02,
@@ -190,9 +205,9 @@ fn closed_form_and_scenario_agree_on_fig8_game() {
         ),
     );
     // Facility 2 alone: 400 locations cap 60 ⇒ V = 400·min(K, 60) = 16000.
-    assert_eq!(scenario.value(Coalition::singleton(1)), 16_000.0);
+    assert_eq!(scenario.value(Coalition::singleton(1)), Ok(16_000.0));
     // Facility 3 alone: 800 locations cap 20 ⇒ V = 800·min(K, 20) = 16000.
-    assert_eq!(scenario.value(Coalition::singleton(2)), 16_000.0);
+    assert_eq!(scenario.value(Coalition::singleton(2)), Ok(16_000.0));
     // Facility 1 alone: 100 < 251 locations ⇒ 0.
-    assert_eq!(scenario.value(Coalition::singleton(0)), 0.0);
+    assert_eq!(scenario.value(Coalition::singleton(0)), Ok(0.0));
 }

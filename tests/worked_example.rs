@@ -3,8 +3,8 @@
 //! across crates.
 
 use fedval::{
-    is_core_nonempty, least_core, nucleolus, paper_facilities, shapley_normalized, Coalition,
-    Demand, ExperimentClass, FederationScenario, SharingScheme,
+    is_core_nonempty, paper_facilities, shapley_normalized, try_least_core, try_nucleolus,
+    Coalition, Demand, ExperimentClass, FederationScenario, SharingScheme,
 };
 
 fn scenario(l: f64) -> FederationScenario {
@@ -17,8 +17,8 @@ fn scenario(l: f64) -> FederationScenario {
 #[test]
 fn paper_headline_numbers() {
     let s = scenario(500.0);
-    assert_eq!(s.grand_value(), 1300.0);
-    let phi = s.shapley_shares();
+    assert_eq!(s.grand_value(), Ok(1300.0));
+    let phi = s.shapley_shares().expect("n = 3");
     let pi = s.proportional_shares();
     assert!((phi[1] - 2.0 / 13.0).abs() < 1e-12, "phi_hat_2 = 2/13");
     assert!((pi[1] - 4.0 / 13.0).abs() < 1e-12, "pi_hat_2 = 4/13");
@@ -27,7 +27,10 @@ fn paper_headline_numbers() {
 #[test]
 fn coalition_values_match_the_strict_threshold_derivation() {
     let s = scenario(500.0);
-    let v = |players: &[usize]| s.value(Coalition::from_players(players.iter().copied()));
+    let v = |players: &[usize]| {
+        s.value(Coalition::from_players(players.iter().copied()))
+            .expect("n = 3")
+    };
     assert_eq!(v(&[0]), 0.0);
     assert_eq!(v(&[1]), 0.0);
     assert_eq!(v(&[2]), 800.0);
@@ -41,7 +44,7 @@ fn coalition_values_match_the_strict_threshold_derivation() {
 fn share_crossovers_along_fig4() {
     // The §4.1 narrative: facility shares change exactly at the points
     // where coalitions gain/lose the ability to serve.
-    let phi_at = |l: f64| scenario(l).shapley_shares();
+    let phi_at = |l: f64| scenario(l).shapley_shares().expect("n = 3");
 
     // Below every threshold the game is additive: shares proportional.
     let p0 = phi_at(50.0);
@@ -61,30 +64,30 @@ fn share_crossovers_along_fig4() {
 #[test]
 fn solution_concepts_are_consistent_on_the_worked_example() {
     let s = scenario(500.0);
-    let game = s.game();
+    let game = s.try_game().expect("n = 3");
 
     // Shapley via the normalized helper agrees with the scenario path.
     let phi_direct = shapley_normalized(game);
-    let phi_scenario = s.shapley_shares();
+    let phi_scenario = s.shapley_shares().expect("n = 3");
     for (a, b) in phi_direct.iter().zip(&phi_scenario) {
         assert!((a - b).abs() < 1e-12);
     }
 
     // Nucleolus is efficient and individually rational here.
-    let nu = nucleolus(game);
+    let nu = try_nucleolus(game).expect("nucleolus");
     assert!((nu.iter().sum::<f64>() - 1300.0).abs() < 1e-6);
     assert!(nu[2] >= 800.0 - 1e-6, "facility 3 can claim 800 alone");
 
     // The least-core ε and core emptiness agree.
-    let lc = least_core(game);
-    assert_eq!(lc.epsilon <= 1e-7, is_core_nonempty(game));
+    let lc = try_least_core(game).expect("least core");
+    assert_eq!(lc.epsilon <= 1e-7, is_core_nonempty(game).expect("least core"));
 }
 
 #[test]
 fn policy_report_runs_every_scheme() {
     let s = scenario(500.0);
     for scheme in SharingScheme::all_builtin() {
-        let shares = scheme.shares(&s);
+        let shares = scheme.shares(&s).expect("n = 3");
         assert_eq!(shares.len(), 3);
         let total: f64 = shares.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "{}: {total}", scheme.name());
